@@ -46,7 +46,8 @@ bench-gate:
 
 # Scale wall smoke: a reduced 64-tile decompose end to end through the
 # CLI (gen -> map --algorithm decompose on an 8x8 mesh, partition report
-# required in the output), then the large-mesh profiling suite
+# required in the output, and a --jobs 1 rerun byte-identical to the
+# default run, which honours NOCMAP_JOBS), then the large-mesh profiling suite
 # (NOCMAP_BENCH_BUDGET=scale writes SCALE_profile.csv, SCALE_heatmap.csv
 # and BENCH_nocmap.json) and the regression gate over the committed
 # baseline — the scale_* keys and decompose_vs_flat_quality are gated
@@ -62,6 +63,10 @@ scale-smoke:
 		--app $(SCALE_DIR)/app64.cdcg --model cwm --algorithm decompose \
 		--seed 7 > $(SCALE_DIR)/map.txt
 	grep -q "^decompose   : " $(SCALE_DIR)/map.txt
+	./_build/default/bin/nocmap_cli.exe map --noc 8x8 \
+		--app $(SCALE_DIR)/app64.cdcg --model cwm --algorithm decompose \
+		--seed 7 --jobs 1 > $(SCALE_DIR)/map-jobs1.txt
+	cmp $(SCALE_DIR)/map.txt $(SCALE_DIR)/map-jobs1.txt
 	cp BENCH_nocmap.json BENCH_baseline.json
 	NOCMAP_BENCH_BUDGET=scale dune exec bench/main.exe
 	dune exec bench/main.exe -- --compare BENCH_baseline.json BENCH_nocmap.json

@@ -242,12 +242,15 @@ let cache_arg =
           ( true,
             info [ "cache" ]
               ~doc:
-                "Memoize mapping evaluations behind the mesh-symmetry \
-                 canonical form (default).  Never changes results." );
+                "Memoize CDCM evaluations behind the mesh-symmetry \
+                 canonical form, and let $(b,es) enumerate one placement \
+                 per symmetry orbit (default).  CWM evaluations are \
+                 cheaper than a cache probe and are never memoized.  \
+                 Never changes results." );
           ( false,
             info [ "no-cache" ]
-              ~doc:"Disable the evaluation cache (and, for $(b,es), the \
-                    symmetry-reduced enumeration)." );
+              ~doc:"Disable the CDCM evaluation cache and, for $(b,es), \
+                    the symmetry-reduced enumeration." );
         ])
 
 (* --- observability plumbing --- *)
@@ -490,23 +493,26 @@ let map_cmd =
       let c = Mapping.Annealing.default_config ~tiles in
       if incremental then { c with Mapping.Annealing.prune = Some 20.0 } else c
     in
-    (* CWM only reads per-pair hop counts, so it may use the larger
+    (* Only the simulation-backed CDCM objective is memoized: a CWM
+       evaluation is a flat fold that costs less than the
+       canonicalization behind a cache probe.  Exhaustive search still
+       enumerates one placement per symmetry orbit for either model.
+       CWM only reads per-pair hop counts, so it may use the larger
        hop-exact group; the simulation-backed CDCM needs path-exact. *)
+    let memoize = use_cache && model = "cdcm" in
     let symmetry =
-      if not use_cache then None
-      else
+      if memoize || (use_cache && algorithm = "es") then
         let level =
           if model = "cwm" then Nocmap_noc.Symmetry.Hops
           else Nocmap_noc.Symmetry.Paths
         in
         Some (Nocmap_noc.Symmetry.of_crg ~level crg)
+      else None
     in
-    let cache =
-      Option.map
-        (fun symmetry ->
-          Mapping.Eval_cache.create ~symmetry ~cores ~discriminator:model ())
-        symmetry
+    let new_cache ?support symmetry =
+      Mapping.Eval_cache.create ~symmetry ~cores ?support ~discriminator:model ()
     in
+    let cache = if memoize then Option.map new_cache symmetry else None in
     let objective =
       match cache with
       | Some cache -> Mapping.Objective.with_cache cache objective
@@ -546,11 +552,9 @@ let map_cmd =
     let fresh_objective () =
       let base = base_objective () in
       match symmetry with
-      | Some symmetry ->
-        Mapping.Objective.with_cache
-          (Mapping.Eval_cache.create ~symmetry ~cores ~discriminator:model ())
-          base
-      | None -> base
+      | Some symmetry when memoize ->
+        Mapping.Objective.with_cache (new_cache symmetry) base
+      | Some _ | None -> base
     in
     (* A decompose region only moves its own cluster, so its cache keys
        just those cores (and drops the mesh group, which the frozen
@@ -558,11 +562,10 @@ let map_cmd =
        ~[cores / region] compared to a full-key cache per region. *)
     let region_objective_for ~cores:region_cores ~tiles:_ =
       let base = base_objective () in
-      if Option.is_some symmetry then
+      if memoize then
         Mapping.Objective.with_cache
-          (Mapping.Eval_cache.create
-             ~symmetry:(Nocmap_noc.Symmetry.identity_only mesh)
-             ~cores ~support:region_cores ~discriminator:model ())
+          (new_cache ~support:region_cores
+             (Nocmap_noc.Symmetry.identity_only mesh))
           base
       else base
     in

@@ -336,28 +336,9 @@ let create ?fault_policy ~tech ~params ~crg ~cdcg ~placement () =
     fault_policy.Wormhole.max_retries * fault_policy.Wormhole.retry_backoff
   in
   let tr = params.Noc_params.tr and tl = params.Noc_params.tl in
-  let max_routers = ref 1 in
-  for s = 0 to tiles - 1 do
-    for d = 0 to tiles - 1 do
-      let r = Array.length (Crg.path crg ~src:s ~dst:d).Crg.routers in
-      if r > !max_routers then max_routers := r
-    done
-  done;
   let layers = (Crg.mesh crg).Nocmap_noc.Mesh.layers in
-  let ebit_stride = if layers = 1 then 0 else !max_routers + 1 in
-  let ebit_tab =
-    Array.make ((!max_routers + 1) * max 1 layers) 0.0
-  in
-  for tsv = 0 to layers - 1 do
-    for r = 1 to !max_routers do
-      (* A path with [tsv] vertical links has at least [tsv + 1]
-         routers; the unreachable combinations stay 0 and are never
-         looked up. *)
-      if tsv <= r - 1 then
-        ebit_tab.((tsv * (!max_routers + 1)) + r) <-
-          Equations.ebit_path ~tsv tech ~routers:r
-    done
-  done;
+  let ebit_stride = if layers = 1 then 0 else Crg.max_routers crg + 1 in
+  let ebit_tab = Cost_cwm.ebit_table ~tech ~crg in
   let t =
     {
       tech;

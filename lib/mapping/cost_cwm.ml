@@ -9,15 +9,42 @@ let check ~crg placement =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Cost_cwm: " ^ msg)
 
-let dynamic_energy ~tech ~crg ~cwg placement =
-  check ~crg placement;
-  let comm acc (src, dst, bits) =
-    let src = placement.(src) and dst = placement.(dst) in
-    let routers = Crg.router_count_on_path crg ~src ~dst in
-    let tsv = Crg.tsv_links_on_path crg ~src ~dst in
-    acc +. Equations.communication_energy ~tsv tech ~routers ~bits
-  in
-  List.fold_left comm 0.0 (Cwg.communications cwg)
+(* A vertical link is a link of the route, so [tsv < routers] bounds
+   the rows even for a faulted detour that climbs and descends; a planar
+   mesh needs row 0 only. *)
+let ebit_table ~tech ~crg =
+  let cols = Crg.max_routers crg + 1 in
+  let rows = if Array.length (Crg.tsv_counts crg) = 0 then 1 else cols - 1 in
+  let table = Array.make (max 1 rows * cols) 0.0 in
+  for tsv = 0 to rows - 1 do
+    for routers = tsv + 1 to cols - 1 do
+      table.((tsv * cols) + routers) <- Equations.ebit_path ~tsv tech ~routers
+    done
+  done;
+  table
+
+let dynamic_energy ~tech ~crg ~cwg =
+  let table = ebit_table ~tech ~crg in
+  let cols = Crg.max_routers crg + 1 in
+  let tiles = Crg.tile_count crg in
+  let router_counts = Crg.router_counts crg and tsv = Crg.tsv_counts crg in
+  let planar = Array.length tsv = 0 in
+  let src = cwg.Cwg.comm_src and dst = cwg.Cwg.comm_dst in
+  let bits = cwg.Cwg.comm_bits in
+  fun placement ->
+    check ~crg placement;
+    let acc = ref 0.0 in
+    for i = 0 to Array.length bits - 1 do
+      let s = placement.(src.(i)) and d = placement.(dst.(i)) in
+      let pair = (s * tiles) + d in
+      let routers = router_counts.(pair) in
+      if routers = 0 then
+        invalid_arg
+          (Printf.sprintf "Cost_cwm: no route from tile %d to tile %d" s d);
+      let row = if planar then 0 else tsv.(pair) * cols in
+      acc := !acc +. (float_of_int bits.(i) *. table.(row + routers))
+    done;
+    !acc
 
 let cost_table ~tech ~crg ~cwg placement =
   check ~crg placement;

@@ -2,6 +2,10 @@ type t = {
   name : string;
   core_names : string array;
   volume : int array array;
+  comm_src : int array;
+  comm_dst : int array;
+  comm_bits : int array;
+  comm_list : (int * int * int) list;
 }
 
 let duplicate_name names =
@@ -16,6 +20,30 @@ let duplicate_name names =
   in
   scan 0
 
+(* The positive entries of [volume] in (src, dst) order, scanned once
+   here so cost folds read flat arrays instead of rescanning the n x n
+   matrix on every evaluation. *)
+let of_volume ~name ~core_names volume =
+  let n = Array.length core_names in
+  let comm_list = ref [] in
+  for src = n - 1 downto 0 do
+    for dst = n - 1 downto 0 do
+      if volume.(src).(dst) > 0 then
+        comm_list := (src, dst, volume.(src).(dst)) :: !comm_list
+    done
+  done;
+  let comm_list = !comm_list in
+  let field f = Array.of_list (List.map f comm_list) in
+  {
+    name;
+    core_names;
+    volume;
+    comm_src = field (fun (s, _, _) -> s);
+    comm_dst = field (fun (_, d, _) -> d);
+    comm_bits = field (fun (_, _, w) -> w);
+    comm_list;
+  }
+
 let create ~name ~core_names ~edges =
   let n = Array.length core_names in
   let error fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
@@ -26,7 +54,7 @@ let create ~name ~core_names ~edges =
     | None ->
       let volume = Array.make_matrix n n 0 in
       let rec fill = function
-        | [] -> Ok { name; core_names; volume }
+        | [] -> Ok (of_volume ~name ~core_names volume)
         | (src, dst, bits) :: rest ->
           if src < 0 || src >= n || dst < 0 || dst >= n then
             error "edge (%d, %d): core index out of range" src dst
@@ -60,20 +88,11 @@ let weight t ~src ~dst =
     invalid_arg "Cwg.weight: core index out of range";
   t.volume.(src).(dst)
 
-let communications t =
-  let n = core_count t in
-  let acc = ref [] in
-  for src = n - 1 downto 0 do
-    for dst = n - 1 downto 0 do
-      if t.volume.(src).(dst) > 0 then acc := (src, dst, t.volume.(src).(dst)) :: !acc
-    done
-  done;
-  !acc
+let communications t = t.comm_list
 
-let ncc t = List.length (communications t)
+let ncc t = Array.length t.comm_src
 
-let total_bits t =
-  List.fold_left (fun acc (_, _, w) -> acc + w) 0 (communications t)
+let total_bits t = Array.fold_left ( + ) 0 t.comm_bits
 
 let to_digraph t =
   let g = Nocmap_graph.Digraph.create ~n:(core_count t) in

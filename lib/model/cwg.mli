@@ -9,6 +9,12 @@ type t = private {
   name : string;
   core_names : string array;
   volume : int array array;  (** [volume.(a).(b)] is [w_ab]; 0 when absent. *)
+  comm_src : int array;
+      (** [a] of the [i]-th entry of {!communications}; with [comm_dst]
+          and [comm_bits] the same list as flat arrays, for cost folds. *)
+  comm_dst : int array;
+  comm_bits : int array;  (** [w_ab] of the [i]-th communication. *)
+  comm_list : (int * int * int) list;  (** What {!communications} returns. *)
 }
 
 val create :

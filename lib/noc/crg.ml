@@ -14,6 +14,8 @@ type t = {
   paths : path array; (* index: src * n + dst *)
   detours : int array; (* extra links vs the fault-free route; -1 = unreachable *)
   tsv : int array; (* vertical links per pair; [||] on a planar mesh (all 0) *)
+  router_counts : int array; (* routers per pair, 0 = unreachable *)
+  max_routers : int; (* longest route, in routers *)
 }
 
 let build_path mesh routing ~src ~dst =
@@ -85,7 +87,7 @@ let route_intact faults p =
 (* Vertical-link counts per pair, so evaluators can split the paper's
    Eq. (2) into planar and TSV terms in O(1) per lookup.  A planar mesh
    shares the empty array: every count is 0 and no memory is spent. *)
-let tsv_counts mesh paths =
+let tsv_per_pair mesh paths =
   if mesh.Mesh.layers = 1 then [||]
   else
     Array.map
@@ -94,6 +96,20 @@ let tsv_counts mesh paths =
           (fun acc lid -> if Link.is_vertical mesh lid then acc + 1 else acc)
           0 p.links)
       paths
+
+(* Fills the per-pair tables every evaluator reads from [paths]. *)
+let make ~mesh ~routing ~faults ~paths ~detours =
+  let router_counts = Array.map (fun p -> Array.length p.routers) paths in
+  {
+    mesh;
+    routing;
+    faults;
+    paths;
+    detours;
+    tsv = tsv_per_pair mesh paths;
+    router_counts;
+    max_routers = Array.fold_left max 0 router_counts;
+  }
 
 let create ?(routing = Routing.Xy) ?faults mesh =
   let n = Mesh.tile_count mesh in
@@ -126,14 +142,7 @@ let create ?(routing = Routing.Xy) ?faults mesh =
     let paths =
       Array.init (n * n) (fun i -> build_path mesh routing ~src:(i / n) ~dst:(i mod n))
     in
-    {
-      mesh;
-      routing;
-      faults;
-      paths;
-      detours = Array.make (n * n) 0;
-      tsv = tsv_counts mesh paths;
-    }
+    make ~mesh ~routing ~faults ~paths ~detours:(Array.make (n * n) 0)
   | Some f ->
     let adj = surviving_adjacency mesh ~wrap f in
     let paths = Array.make (n * n) unreachable_path in
@@ -166,7 +175,7 @@ let create ?(routing = Routing.Xy) ?faults mesh =
         end
       done
     done;
-    { mesh; routing; faults; paths; detours; tsv = tsv_counts mesh paths }
+    make ~mesh ~routing ~faults ~paths ~detours
 
 let mesh t = t.mesh
 
@@ -211,11 +220,19 @@ let total_detour_links t =
 
 let max_detour_links t = Array.fold_left max 0 t.detours
 
-let router_count_on_path t ~src ~dst = Array.length (path t ~src ~dst).routers
+let router_count_on_path t ~src ~dst =
+  check_pair t ~src ~dst;
+  t.router_counts.((src * tile_count t) + dst)
 
 let tsv_links_on_path t ~src ~dst =
   check_pair t ~src ~dst;
   if Array.length t.tsv = 0 then 0 else t.tsv.((src * tile_count t) + dst)
+
+let router_counts t = t.router_counts
+
+let tsv_counts t = t.tsv
+
+let max_routers t = t.max_routers
 
 let to_digraph t =
   let wrap = Routing.uses_wrap_links t.routing in

@@ -70,6 +70,23 @@ val tsv_links_on_path : t -> src:int -> dst:int -> int
 (** Number of vertical (TSV) links on the precomputed path — the [v] in
     the 3-D extension of Eq. (2).  Always 0 on a planar mesh; O(1). *)
 
+(** {2 Flat per-pair tables}
+
+    The arrays behind {!router_count_on_path} and {!tsv_links_on_path},
+    indexed [src * tile_count + dst], for cost folds that cannot afford
+    a checked call per pair.  They are shared with the CRG: read them,
+    never write them. *)
+
+val router_counts : t -> int array
+(** [K] of every ordered pair; 0 for an {!Unreachable} pair. *)
+
+val tsv_counts : t -> int array
+(** Vertical links of every ordered pair; the empty array on a planar
+    mesh, where every count is 0. *)
+
+val max_routers : t -> int
+(** The longest precomputed route, in routers. *)
+
 val to_digraph : t -> Nocmap_graph.Digraph.t
 (** Vertices are tiles, edges are the {e surviving} physical links
     (label 0); the architecture graph of Definition 3, e.g. for DOT

@@ -360,15 +360,13 @@ let result_json (result : Mapping.Objective.search_result)
       ("texec_ns", Json.float_ evaluation.Mapping.Cost_cdcm.texec_ns);
     ]
 
-(* One shared cache per (mesh, routing, model, tech, flit, incremental,
-   core-count) shape: two jobs mapping the same application family onto
-   the same NoC reuse each other's evaluations.  Only valid
-   sequentially — Eval_cache and Objective are not thread-safe — so
-   parallel batches pass [share:false] and get private caches. *)
-let cache_for t ~share ~(spec : Job_spec.t) ~crg ~cores =
-  let level =
-    match spec.model with Job_spec.Cwm -> Symmetry.Hops | Job_spec.Cdcm -> Symmetry.Paths
-  in
+(* One shared CDCM cache per (mesh, routing, tech, flit, incremental,
+   application): two jobs mapping the same application onto the same NoC
+   reuse each other's evaluations, and a job's result never depends on
+   what other applications ran before it.  Only valid sequentially —
+   Eval_cache and Objective are not thread-safe — so parallel batches
+   pass [share:false] and get private caches. *)
+let cache_for t ~share ~(spec : Job_spec.t) ~cdcg ~crg ~cores =
   let discriminator =
     String.concat "|"
       [
@@ -380,13 +378,16 @@ let cache_for t ~share ~(spec : Job_spec.t) ~crg ~cores =
       ]
   in
   let build () =
-    let symmetry = Symmetry.of_crg ~level crg in
+    let symmetry = Symmetry.of_crg ~level:Symmetry.Paths crg in
     Mapping.Eval_cache.create ~symmetry ~cores ~discriminator ()
   in
   if not share then build ()
   else begin
+    let app =
+      Digest.to_hex (Digest.string (Nocmap_model.Textio.cdcg_to_string cdcg))
+    in
     let key =
-      Printf.sprintf "%s|%s|%d" (Mesh.to_string spec.mesh) discriminator cores
+      Printf.sprintf "%s|%s|%s" (Mesh.to_string spec.mesh) discriminator app
     in
     match Hashtbl.find_opt t.caches key with
     | Some cache -> cache
@@ -415,13 +416,36 @@ let execute t ~share ~stop (spec : Job_spec.t) =
     let cores = Cdcg.core_count cdcg in
     let rng = Rng.create ~seed:spec.seed in
     let incremental = spec.incremental in
-    let objective =
+    let base_objective () =
       match spec.model with
       | Job_spec.Cwm -> Mapping.Objective.cwm ~tech ~crg ~cwg
       | Job_spec.Cdcm -> Mapping.Objective.cdcm ~incremental ~tech ~params ~crg ~cdcg ()
     in
-    let cache = cache_for t ~share ~spec ~crg ~cores in
-    let objective = Mapping.Objective.with_cache cache objective in
+    (* Only the simulation-backed CDCM objective is memoized: a CWM
+       evaluation costs less than a cache probe. *)
+    let memoize = spec.model = Job_spec.Cdcm in
+    let objective =
+      if memoize then
+        Mapping.Objective.with_cache
+          (cache_for t ~share ~spec ~cdcg ~crg ~cores)
+          (base_objective ())
+      else base_objective ()
+    in
+    (* Racers and regions may run on distinct domains and Eval_cache is
+       single-domain, so portfolio and decompose never borrow the shared
+       cache: each racer or region gets a fresh objective, memoized
+       through a private cache over one symmetry group per job. *)
+    let private_objectives () =
+      if not memoize then fun _ -> base_objective ()
+      else
+        let symmetry = Symmetry.of_crg ~level:Symmetry.Paths crg in
+        fun _ ->
+          Mapping.Objective.with_cache
+            (Mapping.Eval_cache.create ~symmetry ~cores
+               ~discriminator:(Job_spec.model_to_string spec.model)
+               ())
+            (base_objective ())
+    in
     (* The deadline stop must be sticky (searches require it) and
        latched separately from the external stop so the caller can tell
        "out of time" from "daemon winding down". *)
@@ -474,95 +498,41 @@ let execute t ~share ~stop (spec : Job_spec.t) =
         in
         Mapping.Random_search.search ~rng ~objective ~cores ~tiles ~samples
       | Job_spec.Es ->
-        let symmetry =
-          Symmetry.of_crg
-            ~level:
-              (match spec.model with
-              | Job_spec.Cwm -> Symmetry.Hops
-              | Job_spec.Cdcm -> Symmetry.Paths)
-            crg
+        let level =
+          match spec.model with
+          | Job_spec.Cwm -> Symmetry.Hops
+          | Job_spec.Cdcm -> Symmetry.Paths
         in
-        Mapping.Exhaustive.search ~objective ~cores ~tiles ~symmetry ()
+        Mapping.Exhaustive.search ~objective ~cores ~tiles
+          ~symmetry:(Symmetry.of_crg ~level crg) ()
       | Job_spec.Portfolio strategies ->
         let portfolio_config =
           match spec.budget with
           | Job_spec.Quick -> Mapping.Portfolio.quick_config ~tiles
           | Job_spec.Standard -> Mapping.Portfolio.default_config ~tiles
         in
-        let symmetry =
-          Symmetry.of_crg
-            ~level:
-              (match spec.model with
-              | Job_spec.Cwm -> Symmetry.Hops
-              | Job_spec.Cdcm -> Symmetry.Paths)
-            crg
-        in
-        (* Racers may run on distinct domains and Eval_cache is
-           single-domain, so the portfolio never borrows the engine's
-           shared caches: each strategy gets a fresh objective and a
-           private cache built from the one symmetry group above. *)
-        let objective_for _ =
-          let base =
-            match spec.model with
-            | Job_spec.Cwm -> Mapping.Objective.cwm ~tech ~crg ~cwg
-            | Job_spec.Cdcm ->
-              Mapping.Objective.cdcm ~incremental ~tech ~params ~crg ~cdcg ()
-          in
-          Mapping.Objective.with_cache
-            (Mapping.Eval_cache.create ~symmetry ~cores
-               ~discriminator:(Job_spec.model_to_string spec.model)
-               ())
-            base
-        in
         let report =
           Mapping.Search_persist.portfolio ~store:t.store
             ~key:(shard "portfolio") ~every ~rng ~config:portfolio_config
             ~strategies ~tech ~crg ~cwg
-            ~objective_name:objective.Mapping.Objective.name ~objective_for
-            ~stop:job_stop ()
+            ~objective_name:objective.Mapping.Objective.name
+            ~objective_for:(private_objectives ()) ~stop:job_stop ()
         in
         report.Mapping.Portfolio.result
       | Job_spec.Decompose refiner ->
-        let tiles_count = tiles in
         let decompose_config =
           let c =
             match spec.budget with
-            | Job_spec.Quick -> Mapping.Decompose.quick_config ~tiles:tiles_count
-            | Job_spec.Standard ->
-              Mapping.Decompose.default_config ~tiles:tiles_count
+            | Job_spec.Quick -> Mapping.Decompose.quick_config ~tiles
+            | Job_spec.Standard -> Mapping.Decompose.default_config ~tiles
           in
           { c with Mapping.Decompose.refiner }
-        in
-        let symmetry =
-          Symmetry.of_crg
-            ~level:
-              (match spec.model with
-              | Job_spec.Cwm -> Symmetry.Hops
-              | Job_spec.Cdcm -> Symmetry.Paths)
-            crg
-        in
-        (* Regions may refine on distinct domains and Eval_cache is
-           single-domain, so decompose never borrows the engine's shared
-           caches: each region gets a fresh objective and a private
-           cache built from the one symmetry group above. *)
-        let objective_for () =
-          let base =
-            match spec.model with
-            | Job_spec.Cwm -> Mapping.Objective.cwm ~tech ~crg ~cwg
-            | Job_spec.Cdcm ->
-              Mapping.Objective.cdcm ~incremental ~tech ~params ~crg ~cdcg ()
-          in
-          Mapping.Objective.with_cache
-            (Mapping.Eval_cache.create ~symmetry ~cores
-               ~discriminator:(Job_spec.model_to_string spec.model)
-               ())
-            base
         in
         let report =
           Mapping.Search_persist.decompose ~store:t.store
             ~key:(shard "decompose") ~every ~rng ~config:decompose_config ~crg
             ~cwg ~objective_name:objective.Mapping.Objective.name
-            ~objective_for ~stop:job_stop ()
+            ~objective_for:(private_objectives ()) ~stop:job_stop ()
         in
         report.Mapping.Decompose.result
     in

@@ -1,5 +1,9 @@
 module Mesh = Nocmap_noc.Mesh
 module Crg = Nocmap_noc.Crg
+module Link = Nocmap_noc.Link
+module Fault = Nocmap_noc.Fault
+module Routing = Nocmap_noc.Routing
+module Equations = Nocmap_energy.Equations
 module Cwg = Nocmap_model.Cwg
 module Cdcg = Nocmap_model.Cdcg
 module Technology = Nocmap_energy.Technology
@@ -121,6 +125,139 @@ let test_evaluate_bound () =
           (b > cutoff && b <= exact.Mapping.Cost_cdcm.total +. 1e-18))
     [ 0.5; 0.9; 0.99; 1.01 ]
 
+(* --- the flat CWM fold against the per-communication reference --- *)
+
+(* Eq. (3) as it was first written: one [Equations.communication_energy]
+   per communication, over the router count and vertical links read off
+   [Crg.path], summed in [Cwg.communications] order. *)
+let reference_energy ~tech ~crg ~cwg placement =
+  let mesh = Crg.mesh crg in
+  List.fold_left
+    (fun acc (src, dst, bits) ->
+      let path = Crg.path crg ~src:placement.(src) ~dst:placement.(dst) in
+      let tsv =
+        Array.fold_left
+          (fun n l -> if Link.is_vertical mesh l then n + 1 else n)
+          0 path.Crg.links
+      in
+      acc
+      +. Equations.communication_energy ~tsv tech
+           ~routers:(Array.length path.Crg.routers) ~bits)
+    0.0 (Cwg.communications cwg)
+
+(* Vertical links priced apart from planar ones, with decimal energies
+   that do not round exactly, so a reordered or refactored sum shows. *)
+let tsv_tech =
+  Technology.make ~name:"tsv" ~feature_nm:70 ~e_rbit:0.43e-12 ~e_lbit:0.11e-12
+    ~e_rbit_tsv:0.29e-12 ~e_lbit_tsv:0.037e-12 ~p_s_router:0.01e-12 ()
+
+(* One instance per (shape, seed): a 2-D mesh under XY or YX routing, a
+   torus, a 3-D mesh, or a 3-D mesh with random link and router faults
+   (whose detours may climb and descend, and whose dead routers leave
+   pairs unreachable). *)
+let fold_instance (shape, seed) =
+  let rng = Rng.create ~seed in
+  let between lo hi = lo + Rng.int rng (hi - lo + 1) in
+  let mesh3 () =
+    Mesh.create3 ~cols:(between 2 3) ~rows:(between 2 3) ~layers:(between 2 3)
+  in
+  let crg, tech =
+    match shape with
+    | 0 -> (Crg.create (Mesh.create ~cols:(between 2 5) ~rows:(between 2 4)), tech)
+    | 1 ->
+      ( Crg.create ~routing:Routing.Yx
+          (Mesh.create ~cols:(between 2 5) ~rows:(between 2 4)),
+        tech )
+    | 2 ->
+      ( Crg.create ~routing:Routing.Torus_xy
+          (Mesh.create ~cols:(between 3 5) ~rows:(between 3 4)),
+        tech )
+    | 3 -> (Crg.create (mesh3 ()), tsv_tech)
+    | _ ->
+      let mesh = mesh3 () in
+      let faults =
+        match
+          Fault.sample_link_scenarios ~rng ~k:(between 1 4) ~count:1 mesh
+        with
+        | [ f ] ->
+          let routers =
+            if Rng.int rng 3 = 0 then [ Rng.int rng (Mesh.tile_count mesh) ]
+            else []
+          in
+          Fault.make ~links:(Fault.failed_links f) ~routers mesh
+        | _ -> Fault.none mesh
+      in
+      (Crg.create ~faults mesh, tsv_tech)
+  in
+  let tiles = Crg.tile_count crg in
+  let cores = between 2 (min tiles 8) in
+  let spec =
+    Nocmap_tgff.Generator.default_spec ~name:"fold" ~cores
+      ~packets:(3 * cores) ~total_bits:(997 * cores)
+  in
+  let cwg = Cwg.of_cdcg (Nocmap_tgff.Generator.generate rng spec) in
+  let placement = Mapping.Placement.random rng ~cores ~tiles in
+  (crg, tech, cwg, placement)
+
+let bits_or_invalid f =
+  match f () with
+  | e -> Some (Int64.bits_of_float e)
+  | exception Invalid_argument _ -> None
+
+let prop_cwm_fold_bit_identical =
+  QCheck2.Test.make ~name:"CWM flat fold is bit-identical to the reference"
+    ~count:(Test_util.prop_count 300)
+    ~print:(fun (shape, seed) -> Printf.sprintf "shape %d seed %d" shape seed)
+    QCheck2.Gen.(pair (0 -- 4) (0 -- 1_000_000))
+    (fun instance ->
+      let crg, tech, cwg, placement = fold_instance instance in
+      bits_or_invalid (fun () ->
+          Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg placement)
+      = bits_or_invalid (fun () -> reference_energy ~tech ~crg ~cwg placement))
+
+(* [communications] and its flat arrays list the positive entries of
+   [volume], row by row. *)
+let prop_communications_scan_volume =
+  QCheck2.Test.make ~name:"Cwg communications are the volume scan"
+    ~count:(Test_util.prop_count 100)
+    QCheck2.Gen.(pair (0 -- 4) (0 -- 1_000_000))
+    (fun instance ->
+      let _, _, cwg, _ = fold_instance instance in
+      let n = Cwg.core_count cwg in
+      let scan = ref [] in
+      for src = n - 1 downto 0 do
+        for dst = n - 1 downto 0 do
+          let w = cwg.Cwg.volume.(src).(dst) in
+          if w > 0 then scan := (src, dst, w) :: !scan
+        done
+      done;
+      let arrays =
+        List.init (Array.length cwg.Cwg.comm_src) (fun i ->
+            (cwg.Cwg.comm_src.(i), cwg.Cwg.comm_dst.(i), cwg.Cwg.comm_bits.(i)))
+      in
+      Cwg.communications cwg = !scan && arrays = !scan
+      && Cwg.ncc cwg = List.length !scan)
+
+let test_cwm_unreachable_pair_rejected () =
+  (* Tile 0 of a 3x3 mesh loses both outgoing links: core A (on tile 0)
+     sends to B and F, so mapping (c) has no route for it. *)
+  let mesh = Mesh.create ~cols:3 ~rows:3 in
+  let faults =
+    Fault.make
+      ~links:[ Link.id mesh ~src:0 ~dst:1; Link.id mesh ~src:0 ~dst:3 ]
+      mesh
+  in
+  let crg = Crg.create ~faults mesh in
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let placement = [| 0; 1; 2; 4 |] in
+  Alcotest.(check bool) "reference raises" true
+    (raises (fun () -> reference_energy ~tech ~crg ~cwg:Fig1.cwg placement));
+  Alcotest.(check bool) "fold raises" true
+    (raises (fun () ->
+         Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg:Fig1.cwg placement))
+
 let suite =
   ( "cost",
     [
@@ -132,4 +269,8 @@ let suite =
       Alcotest.test_case "eq 3 equals eq 4" `Quick test_cdcm_dynamic_equals_cwm;
       Alcotest.test_case "evaluation consistency" `Quick test_evaluation_consistency;
       Alcotest.test_case "objectives" `Quick test_objectives;
+      Alcotest.test_case "cwm unreachable pair" `Quick
+        test_cwm_unreachable_pair_rejected;
+      QCheck_alcotest.to_alcotest prop_cwm_fold_bit_identical;
+      QCheck_alcotest.to_alcotest prop_communications_scan_volume;
     ] )

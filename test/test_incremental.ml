@@ -247,6 +247,31 @@ let test_cdcm_evaluate_for () =
       (Inc.placement inc = p)
   done
 
+(* Tile 12 of a 3x3x2 mesh loses its in-plane links from 13 and 15, so
+   the route 15 -> 12 detours down a layer and back up: two vertical
+   links on a two-layer mesh.  The energy table must cover TSV counts
+   beyond [layers - 1]. *)
+let test_cdcm_faulted_3d_detour () =
+  let mesh = Mesh.create3 ~cols:3 ~rows:3 ~layers:2 in
+  let faults =
+    Nocmap_noc.Fault.make
+      ~links:
+        [
+          Nocmap_noc.Link.id mesh ~src:13 ~dst:12;
+          Nocmap_noc.Link.id mesh ~src:15 ~dst:12;
+        ]
+      mesh
+  in
+  let crg = Crg.create ~faults mesh in
+  Alcotest.(check int) "two vertical links" 2
+    (Crg.tsv_links_on_path crg ~src:15 ~dst:12);
+  let placement = Array.init (Nocmap_model.Cdcg.core_count Fig1.cdcg) Fun.id in
+  placement.(Fig1.core_a) <- 15;
+  placement.(Fig1.core_b) <- 12;
+  let inc = Inc.create ~tech:tech7 ~params ~crg ~cdcg:Fig1.cdcg ~placement () in
+  Alcotest.(check bool) "bit-identical to fresh evaluation" true
+    (Inc.cost inc = (fresh ~crg ~cdcg:Fig1.cdcg placement).Cost_cdcm.total)
+
 let test_cdcm_invalid_inputs () =
   let crg, cdcg, placement, _ = cdcm_setup ~seed:29 in
   let rejects f =
@@ -289,5 +314,6 @@ let cdcm_suite =
         test_cdcm_noop_and_stats;
       Alcotest.test_case "swap delta" `Quick test_cdcm_swap_delta;
       Alcotest.test_case "evaluate_for re-anchors" `Quick test_cdcm_evaluate_for;
+      Alcotest.test_case "faulted 3-D detour" `Quick test_cdcm_faulted_3d_detour;
       Alcotest.test_case "invalid inputs" `Quick test_cdcm_invalid_inputs;
     ] )

@@ -476,6 +476,41 @@ let test_engine_replays_finished () =
   | _ -> Alcotest.fail "expected one replayed Completed event");
   Engine.close engine
 
+(* fft8, imgenc and imgenc-long all place 6 cores on a 3x2 mesh, so
+   the engine's shared caches once served one application the costs of
+   another: a job's reply must not depend on the jobs run before it. *)
+let reply_after ~history job =
+  let engine, events = make_engine ~config:fast_config (temp_dir ()) in
+  List.iter
+    (fun text ->
+      match Engine.submit engine ~source:"t" text with
+      | Engine.Submitted -> ()
+      | _ -> Alcotest.fail "submit")
+    (history @ [ job ]);
+  Engine.run_pending engine;
+  Engine.close engine;
+  match find_completed events "last" with
+  | Some result -> Json.to_string result
+  | None -> Alcotest.fail "job did not complete"
+
+let test_engine_history_independent () =
+  List.iter
+    (fun (model, algorithm) ->
+      let job ~id ~app ~seed =
+        Printf.sprintf
+          {|{"id":%S,"app":{"builtin":%S},"noc":"3x2","model":%S,"algorithm":%S,"budget":"quick","seed":%d}|}
+          id app model algorithm seed
+      in
+      let last = job ~id:"last" ~app:"imgenc" ~seed:7 in
+      Alcotest.(check string)
+        (Printf.sprintf "%s/%s reply after other apps" model algorithm)
+        (reply_after ~history:[] last)
+        (reply_after
+           ~history:
+             [ job ~id:"a" ~app:"fft8" ~seed:3; job ~id:"b" ~app:"imgenc-long" ~seed:5 ]
+           last))
+    [ ("cwm", "local"); ("cdcm", "sa") ]
+
 let test_engine_rejects_foreign_journal () =
   let dir = temp_dir () in
   let store = Nocmap_persist.Store.open_ ~dir in
@@ -623,6 +658,8 @@ let suite =
         test_engine_replays_finished;
       Alcotest.test_case "engine rejects a foreign journal" `Quick
         test_engine_rejects_foreign_journal;
+      Alcotest.test_case "engine replies independent of other apps' jobs" `Quick
+        test_engine_history_independent;
       Alcotest.test_case "serve metrics registered" `Quick test_serve_metrics_registered;
       Alcotest.test_case "spool ingest" `Quick test_spool_ingest;
       Alcotest.test_case "spool backpressure defers" `Quick test_spool_backpressure;
