@@ -465,72 +465,43 @@ let map_cmd =
              search.  Requires --model cdcm.")
   in
   let run mesh seed flit tech_name routing app builtin model algorithm
-      strategies_spec refiner_spec jobs save metrics convergence_path use_cache
+      strategies_spec refiner_spec jobs save metrics convergence_path cache
       incremental checkpoint_dir checkpoint_every =
+    let module Request = Mapping.Request in
     let mesh = Mesh.of_string mesh in
     let tech = or_die (load_tech tech_name) in
     let cdcg = or_die (load_app ~path:app ~builtin) in
-    let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
-    let params = Noc_params.make ~flit_bits:flit () in
-    let cwg = Cwg.of_cdcg cdcg in
-    let tiles = Mesh.tile_count mesh in
+    let routing = or_die (load_routing routing) in
     let cores = Cdcg.core_count cdcg in
-    if cores > tiles then
-      or_die (Error (Printf.sprintf "%d cores do not fit on %s" cores (Mesh.to_string mesh)));
-    let rng = Rng.create ~seed in
-    if incremental && model <> "cdcm" then
+    if cores > Mesh.tile_count mesh then
+      or_die
+        (Error (Printf.sprintf "%d cores do not fit on %s" cores (Mesh.to_string mesh)));
+    let model = or_die (Request.model_of_string model) in
+    if incremental && model <> Request.Cdcm then
       or_die (Error "--incremental requires --model cdcm");
-    let objective =
-      match model with
-      | "cwm" -> Mapping.Objective.cwm ~tech ~crg ~cwg
-      | "cdcm" -> Mapping.Objective.cdcm ~incremental ~tech ~params ~crg ~cdcg ()
-      | other -> or_die (Error ("unknown model " ^ other))
+    let algorithm =
+      match or_die (Request.algorithm_of_string algorithm) with
+      | Request.Portfolio _ ->
+        let strategies = Mapping.Portfolio.strategies_of_string strategies_spec in
+        Request.Portfolio (or_die strategies)
+      | Request.Decompose _ -> (
+        match Mapping.Decompose.refiner_of_string refiner_spec with
+        | Some r -> Request.Decompose r
+        | None -> or_die (Error ("unknown refiner " ^ refiner_spec)))
+      | other -> other
     in
-    (* Without a prune margin the annealer never consults the bound
-       function, so the incremental evaluator would have nothing to
-       reject; the margin matches Experiment's standard configs. *)
-    let sa_config =
-      let c = Mapping.Annealing.default_config ~tiles in
-      if incremental then { c with Mapping.Annealing.prune = Some 20.0 } else c
-    in
-    (* Only the simulation-backed CDCM objective is memoized: a CWM
-       evaluation is a flat fold that costs less than the
-       canonicalization behind a cache probe.  Exhaustive search still
-       enumerates one placement per symmetry orbit for either model.
-       CWM only reads per-pair hop counts, so it may use the larger
-       hop-exact group; the simulation-backed CDCM needs path-exact. *)
-    let memoize = use_cache && model = "cdcm" in
-    let symmetry =
-      if memoize || (use_cache && algorithm = "es") then
-        let level =
-          if model = "cwm" then Nocmap_noc.Symmetry.Hops
-          else Nocmap_noc.Symmetry.Paths
-        in
-        Some (Nocmap_noc.Symmetry.of_crg ~level crg)
-      else None
-    in
-    let new_cache ?support symmetry =
-      Mapping.Eval_cache.create ~symmetry ~cores ?support ~discriminator:model ()
-    in
-    let cache = if memoize then Option.map new_cache symmetry else None in
-    let objective =
-      match cache with
-      | Some cache -> Mapping.Objective.with_cache cache objective
-      | None -> objective
+    let request =
+      { Request.cdcg; mesh; routing; tech; flit_bits = flit; model; algorithm;
+        seed; budget = Request.Standard; incremental; cache }
     in
     install_stop_signals ?checkpoint_dir ();
-    (match checkpoint_dir with
-    | Some _
-      when algorithm <> "sa" && algorithm <> "local"
-           && algorithm <> "greedy+local" && algorithm <> "portfolio"
-           && algorithm <> "decompose" ->
+    if Option.is_some checkpoint_dir && not (Request.journals algorithm) then
       prerr_endline
         (Printf.sprintf
            "nocmap: --checkpoint-dir only journals the sa, local, \
             greedy+local, portfolio and decompose searches; algorithm %S \
             runs without checkpoints"
-           algorithm)
-    | Some _ | None -> ());
+           (Request.algorithm_to_string algorithm));
     let persist = setup_persist ~command:"map" checkpoint_dir checkpoint_every in
     with_metrics metrics @@ fun () ->
     let convergence =
@@ -538,128 +509,11 @@ let map_cmd =
         (fun _ -> Obs.Series.create ~x_label:"evaluations" ~y_label:"best_cost" ())
         convergence_path
     in
-    let portfolio_report = ref None in
-    let decompose_report = ref None in
-    (* Each parallel searcher runs on its own domain and Eval_cache is
-       single-domain, so parallel algorithms get one fresh objective
-       (and private cache) per call — all built from the symmetry group
-       computed once above. *)
-    let base_objective () =
-      match model with
-      | "cwm" -> Mapping.Objective.cwm ~tech ~crg ~cwg
-      | _ -> Mapping.Objective.cdcm ~incremental ~tech ~params ~crg ~cdcg ()
+    let outcome =
+      Request.run ~jobs:(resolve_jobs jobs) ~stop:stop_requested ?persist
+        ?convergence request
     in
-    let fresh_objective () =
-      let base = base_objective () in
-      match symmetry with
-      | Some symmetry when memoize ->
-        Mapping.Objective.with_cache (new_cache symmetry) base
-      | Some _ | None -> base
-    in
-    (* A decompose region only moves its own cluster, so its cache keys
-       just those cores (and drops the mesh group, which the frozen
-       context breaks anyway): the dominant cache allocation shrinks by
-       ~[cores / region] compared to a full-key cache per region. *)
-    let region_objective_for ~cores:region_cores ~tiles:_ =
-      let base = base_objective () in
-      if memoize then
-        Mapping.Objective.with_cache
-          (new_cache ~support:region_cores
-             (Nocmap_noc.Symmetry.identity_only mesh))
-          base
-      else base
-    in
-    let result =
-      match algorithm with
-      | "sa" -> (
-        match persist with
-        | None ->
-          Mapping.Annealing.search ~rng ~config:sa_config ~tiles ~objective
-            ~stop:stop_requested ?convergence ~cores ()
-        | Some (p : Nocmap.Experiment.persist) ->
-          Mapping.Search_persist.annealing ~store:p.Nocmap.Experiment.store
-            ~key:(p.Nocmap.Experiment.scope ^ ".sa")
-            ~every:p.Nocmap.Experiment.every ~rng ~config:sa_config ~tiles
-            ~objective ~stop:stop_requested ?convergence ~cores ())
-      | "es" -> Mapping.Exhaustive.search ~objective ~cores ~tiles ?symmetry ?convergence ()
-      | "greedy" -> Mapping.Greedy.search ~tech ~crg ~cwg ()
-      | "local" -> (
-        let initial = Mapping.Placement.random rng ~cores ~tiles in
-        match persist with
-        | None ->
-          Mapping.Local_search.search ~objective ~tiles ~initial
-            ~stop:stop_requested ?convergence ()
-        | Some (p : Nocmap.Experiment.persist) ->
-          Mapping.Search_persist.local_search ~store:p.Nocmap.Experiment.store
-            ~key:(p.Nocmap.Experiment.scope ^ ".local")
-            ~every:p.Nocmap.Experiment.every ~objective ~tiles ~initial
-            ~stop:stop_requested ?convergence ())
-      | "greedy+local" -> (
-        let greedy = Mapping.Greedy.search ~tech ~crg ~cwg () in
-        let initial = greedy.Mapping.Objective.placement in
-        match persist with
-        | None ->
-          Mapping.Local_search.search ~objective ~tiles ~initial
-            ~stop:stop_requested ?convergence ()
-        | Some (p : Nocmap.Experiment.persist) ->
-          Mapping.Search_persist.local_search ~store:p.Nocmap.Experiment.store
-            ~key:(p.Nocmap.Experiment.scope ^ ".local")
-            ~every:p.Nocmap.Experiment.every ~objective ~tiles ~initial
-            ~stop:stop_requested ?convergence ())
-      | "random" ->
-        Mapping.Random_search.search ~rng ~objective ~cores ~tiles ~samples:1000
-      | "portfolio" ->
-        let strategies =
-          or_die (Mapping.Portfolio.strategies_of_string strategies_spec)
-        in
-        let portfolio_config = Mapping.Portfolio.default_config ~tiles in
-        let objective_for _ = fresh_objective () in
-        with_jobs (resolve_jobs jobs) @@ fun pool ->
-        let report =
-          match persist with
-          | None ->
-            Mapping.Portfolio.search ~rng ~config:portfolio_config ~strategies
-              ~tech ~crg ~cwg ~objective_for ?pool ~stop:stop_requested ()
-          | Some (p : Nocmap.Experiment.persist) ->
-            Mapping.Search_persist.portfolio ~store:p.Nocmap.Experiment.store
-              ~key:(p.Nocmap.Experiment.scope ^ ".portfolio")
-              ~every:p.Nocmap.Experiment.every ~rng ~config:portfolio_config
-              ~strategies ~tech ~crg ~cwg
-              ~objective_name:objective.Mapping.Objective.name ~objective_for
-              ?pool ~stop:stop_requested ()
-        in
-        portfolio_report := Some report;
-        report.Mapping.Portfolio.result
-      | "decompose" ->
-        let refiner =
-          match Mapping.Decompose.refiner_of_string refiner_spec with
-          | Some r -> r
-          | None -> or_die (Error ("unknown refiner " ^ refiner_spec))
-        in
-        let decompose_config =
-          { (Mapping.Decompose.default_config ~tiles) with
-            Mapping.Decompose.refiner
-          }
-        in
-        with_jobs (resolve_jobs jobs) @@ fun pool ->
-        let report =
-          match persist with
-          | None ->
-            Mapping.Decompose.search ~rng ~config:decompose_config ~crg ~cwg
-              ~objective_for:fresh_objective ~region_objective_for ?pool
-              ~stop:stop_requested ()
-          | Some (p : Nocmap.Experiment.persist) ->
-            Mapping.Search_persist.decompose ~store:p.Nocmap.Experiment.store
-              ~key:(p.Nocmap.Experiment.scope ^ ".decompose")
-              ~every:p.Nocmap.Experiment.every ~rng ~config:decompose_config
-              ~crg ~cwg ~objective_name:objective.Mapping.Objective.name
-              ~objective_for:fresh_objective ~region_objective_for ?pool
-              ~stop:stop_requested ()
-        in
-        decompose_report := Some report;
-        report.Mapping.Decompose.result
-      | other -> or_die (Error ("unknown algorithm " ^ other))
-    in
+    let result = outcome.Request.result in
     (match (convergence_path, convergence) with
     | Some path, Some series ->
       if Obs.Series.length series = 0 then
@@ -667,83 +521,65 @@ let map_cmd =
           (Printf.sprintf
              "nocmap: algorithm %S records no convergence trace; %s holds only \
               the header"
-             algorithm path);
+             (Request.algorithm_to_string algorithm) path);
       Obs.Series.save_csv ~path series;
       Printf.printf "convergence : %s (%d points)\n" path (Obs.Series.length series)
     | _ -> ());
-    let evaluation =
-      Mapping.Cost_cdcm.evaluate ~tech ~params ~crg ~cdcg
-        result.Mapping.Objective.placement
-    in
     if stop_requested () then
       Printf.printf "(search interrupted - reporting the best placement found)\n";
     Printf.printf "application : %s\n" cdcg.Cdcg.name;
     Printf.printf "NoC         : %s, %s routing\n" (Mesh.to_string mesh)
-      (routing_label ~mesh (Crg.routing crg));
-    Printf.printf "model/search: %s/%s (%d cost evaluations)\n" model algorithm
+      (routing_label ~mesh routing);
+    Printf.printf "model/search: %s/%s (%d cost evaluations)\n"
+      (Request.model_to_string model)
+      (Request.algorithm_to_string algorithm)
       result.Mapping.Objective.evaluations;
-    (match !portfolio_report with
-    | Some (r : Mapping.Portfolio.report) ->
+    (match outcome.Request.details with
+    | Request.Race r ->
+      let open Mapping.Portfolio in
       Printf.printf
         "portfolio   : winner %s after %d rounds (%d incumbent updates, %d \
          cutoff tightenings)\n"
-        (Mapping.Portfolio.strategy_to_string r.Mapping.Portfolio.winner)
-        r.Mapping.Portfolio.rounds r.Mapping.Portfolio.updates
-        r.Mapping.Portfolio.tightenings;
+        (strategy_to_string r.winner) r.rounds r.updates r.tightenings;
       List.iter
-        (fun (s : Mapping.Portfolio.strategy_report) ->
+        (fun s ->
           Printf.printf "  %-8s cost %.6g, %d evaluations, %d rounds won\n"
-            (Mapping.Portfolio.strategy_to_string s.Mapping.Portfolio.strategy)
-            s.Mapping.Portfolio.cost s.Mapping.Portfolio.evaluations
-            s.Mapping.Portfolio.rounds_won)
-        r.Mapping.Portfolio.per_strategy
-    | None -> ());
-    (match !decompose_report with
-    | Some (r : Mapping.Decompose.report) ->
+            (strategy_to_string s.strategy) s.cost s.evaluations s.rounds_won)
+        r.per_strategy
+    | Request.Regions r ->
+      let open Mapping.Decompose in
       Printf.printf
         "decompose   : %d regions, cut %d of %d bits (%.1f%%), seed cost \
          %.6g, %d polish evaluations\n"
-        (List.length r.Mapping.Decompose.regions)
-        r.Mapping.Decompose.cut r.Mapping.Decompose.total
-        (100.0
-        *. float_of_int r.Mapping.Decompose.cut
-        /. float_of_int (max 1 r.Mapping.Decompose.total))
-        r.Mapping.Decompose.seed_cost r.Mapping.Decompose.polish_evaluations;
+        (List.length r.regions) r.cut r.total
+        (100.0 *. float_of_int r.cut /. float_of_int (max 1 r.total))
+        r.seed_cost r.polish_evaluations;
       List.iter
-        (fun (reg : Mapping.Decompose.region_report) ->
-          let rect = reg.Mapping.Decompose.region_rect in
+        (fun reg ->
+          let { x; y; z; w; h; d } = reg.region_rect in
           let shape =
-            if rect.Mapping.Decompose.d = 1 then
-              Printf.sprintf "%dx%d at (%d,%d)" rect.Mapping.Decompose.w
-                rect.Mapping.Decompose.h rect.Mapping.Decompose.x
-                rect.Mapping.Decompose.y
-            else
-              Printf.sprintf "%dx%dx%d at (%d,%d,%d)" rect.Mapping.Decompose.w
-                rect.Mapping.Decompose.h rect.Mapping.Decompose.d
-                rect.Mapping.Decompose.x rect.Mapping.Decompose.y
-                rect.Mapping.Decompose.z
+            if d = 1 then Printf.sprintf "%dx%d at (%d,%d)" w h x y
+            else Printf.sprintf "%dx%dx%d at (%d,%d,%d)" w h d x y z
           in
           Printf.printf "  region %s: %d cores, cost %.6g, %d evaluations\n"
-            shape
-            (List.length reg.Mapping.Decompose.region_cores)
-            reg.Mapping.Decompose.region_cost
-            reg.Mapping.Decompose.region_evaluations)
-        r.Mapping.Decompose.regions
-    | None -> ());
-    (match cache with
-    | Some cache when Mapping.Eval_cache.(stats cache).Mapping.Eval_cache.misses > 0 ->
+            shape (List.length reg.region_cores) reg.region_cost
+            reg.region_evaluations)
+        r.regions
+    | Request.Single -> ());
+    (match outcome.Request.cache with
+    | Some cache when (Mapping.Eval_cache.stats cache).misses > 0 ->
       let s = Mapping.Eval_cache.stats cache in
       Printf.printf
         "cache       : %.1f%% hit rate (%d hits, %d bound hits, %d misses, %d \
          evictions)\n"
         (100.0 *. Mapping.Eval_cache.hit_rate cache)
-        s.Mapping.Eval_cache.hits s.Mapping.Eval_cache.bound_hits
-        s.Mapping.Eval_cache.misses s.Mapping.Eval_cache.evictions
+        s.hits s.bound_hits s.misses s.evictions
     | Some _ | None -> ());
     Printf.printf "mapping     : %s\n"
       (Mapping.Placement.to_string ~core_names:cdcg.Cdcg.core_names
          result.Mapping.Objective.placement);
-    Format.printf "evaluation  : %a@." Mapping.Cost_cdcm.pp_evaluation evaluation;
+    Format.printf "evaluation  : %a@." Mapping.Cost_cdcm.pp_evaluation
+      outcome.Request.evaluation;
     (match save with
     | None -> ()
     | Some path ->

@@ -35,7 +35,7 @@ let default_config =
 
 let quick_config = { default_config with budget = Quick; restarts = 1 }
 
-type persist = {
+type persist = Mapping.Request.persist = {
   store : Nocmap_persist.Store.t;
   scope : string;
   every : int;

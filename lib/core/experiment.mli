@@ -37,7 +37,7 @@ val default_config : config
 
 val quick_config : config
 
-type persist = {
+type persist = Nocmap_mapping.Request.persist = {
   store : Nocmap_persist.Store.t;  (** Checkpoint directory. *)
   scope : string;  (** Key prefix for this run's journal shards. *)
   every : int;     (** Checkpoint cadence in evaluations. *)

@@ -21,9 +21,10 @@
 
     {b Cache sharing.}  {!Eval_cache} is single-domain by contract, so
     the portfolio never shares one cache instance across racers.
-    Instead [objective_for] is called once per strategy (lazily, for
-    racers) and the {!Nocmap_core} wiring builds each strategy's cache
-    from one shared symmetry group, so the O(tiles!) symmetry reduction
+    Instead [objective_for] is called once per strategy — lazily for
+    racers, on the racer's own domain, so concurrent calls must be safe
+    — and {!Request.run} builds each strategy's cache from one symmetry
+    group computed before the race, so the O(tiles!) symmetry reduction
     is computed once per race rather than once per strategy.
 
     {b Checkpointing.}  The whole race checkpoints as one record: the

@@ -364,15 +364,18 @@ let last_progress records =
    [done] record is only written when [stop] did not cut the run short,
    so interrupted journals stay resumable.
 
-   When [stop] is already set on entry the search runs with no
-   persistence at all: the caller is winding down and this leg's inputs
-   may derive from an upstream search that was itself cut short (e.g. a
-   warm start from an interrupted CWM leg), so journaling them would
-   poison the store with state the resumed run can never reproduce. *)
-let run_leg ~store ~key ~meta ~every ~encode ~decode ~encode_result
+   Without a [store], or when [stop] is already set on entry, the search
+   runs with no persistence at all.  In the second case the caller is
+   winding down and this leg's inputs may derive from an upstream search
+   that was itself cut short (e.g. a warm start from an interrupted CWM
+   leg), so journaling them would poison the store with state the
+   resumed run can never reproduce. *)
+let run_leg ?store ~key ~meta ~every ~encode ~decode ~encode_result
     ~decode_result ~stop ~run =
-  if stop () then run ?checkpoint:None ?resume:None ()
-  else
+  match store with
+  | None -> run ?checkpoint:None ?resume:None ()
+  | Some _ when stop () -> run ?checkpoint:None ?resume:None ()
+  | Some store ->
     let path = Store.shard_path store ~key in
     let entry =
       if not (Sys.file_exists path) then
@@ -419,7 +422,7 @@ let run_leg ~store ~key ~meta ~every ~encode ~decode ~encode_result
             Journal.append_exn journal (done_record (encode_result result));
           result)
 
-let annealing ~store ~key ?(every = default_every) ~rng ~config ~tiles
+let annealing ?store ~key ?(every = default_every) ~rng ~config ~tiles
     ~objective ?initial ?(stop = fun () -> false) ?convergence ~cores () =
   let meta =
     Json.Assoc
@@ -438,14 +441,14 @@ let annealing ~store ~key ?(every = default_every) ~rng ~config ~tiles
           | Some p -> placement_json p );
       ]
   in
-  run_leg ~store ~key ~meta ~every ~encode:sa_checkpoint_json
+  run_leg ?store ~key ~meta ~every ~encode:sa_checkpoint_json
     ~decode:sa_checkpoint_of_json ~encode_result:result_json
     ~decode_result:result_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->
       Annealing.search ~rng ~config ~tiles ~objective ?initial ~stop
         ?convergence ?checkpoint ?resume ~cores ())
 
-let tabu ~store ~key ?(every = default_every) ~rng ~config ~tiles ~objective
+let tabu ?store ~key ?(every = default_every) ~rng ~config ~tiles ~objective
     ?initial ?(stop = fun () -> false) ?convergence ~cores () =
   let meta =
     Json.Assoc
@@ -462,14 +465,14 @@ let tabu ~store ~key ?(every = default_every) ~rng ~config ~tiles ~objective
           | Some p -> placement_json p );
       ]
   in
-  run_leg ~store ~key ~meta ~every ~encode:tabu_checkpoint_json
+  run_leg ?store ~key ~meta ~every ~encode:tabu_checkpoint_json
     ~decode:tabu_checkpoint_of_json ~encode_result:result_json
     ~decode_result:result_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->
       Tabu.search ~rng ~config ~tiles ~objective ?initial ~stop ?convergence
         ?checkpoint ?resume ~cores ())
 
-let genetic ~store ~key ?(every = default_every) ~rng ~config ~tiles ~objective
+let genetic ?store ~key ?(every = default_every) ~rng ~config ~tiles ~objective
     ?initial ?(stop = fun () -> false) ?convergence ~cores () =
   let meta =
     Json.Assoc
@@ -486,14 +489,14 @@ let genetic ~store ~key ?(every = default_every) ~rng ~config ~tiles ~objective
           | Some p -> placement_json p );
       ]
   in
-  run_leg ~store ~key ~meta ~every ~encode:genetic_checkpoint_json
+  run_leg ?store ~key ~meta ~every ~encode:genetic_checkpoint_json
     ~decode:genetic_checkpoint_of_json ~encode_result:result_json
     ~decode_result:result_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->
       Genetic.search ~rng ~config ~tiles ~objective ?initial ~stop ?convergence
         ?checkpoint ?resume ~cores ())
 
-let portfolio ~store ~key ?(every = default_every) ~rng ~config ~strategies
+let portfolio ?store ~key ?(every = default_every) ~rng ~config ~strategies
     ~tech ~crg ~cwg ~objective_name ~objective_for ?pool
     ?(stop = fun () -> false) ?target () =
   let meta =
@@ -510,7 +513,7 @@ let portfolio ~store ~key ?(every = default_every) ~rng ~config ~strategies
           match target with None -> Json.Null | Some t -> Json.float_ t );
       ]
   in
-  run_leg ~store ~key ~meta ~every ~encode:portfolio_checkpoint_json
+  run_leg ?store ~key ~meta ~every ~encode:portfolio_checkpoint_json
     ~decode:portfolio_checkpoint_of_json ~encode_result:report_json
     ~decode_result:report_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->
@@ -648,7 +651,7 @@ let decompose_report_of_json j =
     polish_evaluations = Json.to_int (Json.get "polish_evaluations" j);
   }
 
-let decompose ~store ~key ?(every = default_every) ~rng ~config ~crg ~cwg
+let decompose ?store ~key ?(every = default_every) ~rng ~config ~crg ~cwg
     ~objective_name ~objective_for ?region_objective_for ?pool
     ?(stop = fun () -> false) () =
   let meta =
@@ -662,14 +665,14 @@ let decompose ~store ~key ?(every = default_every) ~rng ~config ~crg ~cwg
         ("config", decompose_config_json config);
       ]
   in
-  run_leg ~store ~key ~meta ~every ~encode:decompose_checkpoint_json
+  run_leg ?store ~key ~meta ~every ~encode:decompose_checkpoint_json
     ~decode:decompose_checkpoint_of_json ~encode_result:decompose_report_json
     ~decode_result:decompose_report_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->
       Decompose.search ~rng ~config ~crg ~cwg ~objective_for
         ?region_objective_for ?pool ~stop ?checkpoint ?resume ())
 
-let local_search ~store ~key ?(every = default_every) ~objective ~tiles
+let local_search ?store ~key ?(every = default_every) ~objective ~tiles
     ~initial ?(max_evaluations = 100_000) ?(stop = fun () -> false)
     ?convergence () =
   let meta =
@@ -683,7 +686,7 @@ let local_search ~store ~key ?(every = default_every) ~objective ~tiles
         ("initial", placement_json initial);
       ]
   in
-  run_leg ~store ~key ~meta ~every ~encode:ls_checkpoint_json
+  run_leg ?store ~key ~meta ~every ~encode:ls_checkpoint_json
     ~decode:ls_checkpoint_of_json ~encode_result:result_json
     ~decode_result:result_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->

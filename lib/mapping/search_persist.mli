@@ -20,7 +20,9 @@
     silently mixing two different runs.  Run-level identity
     (application, mesh, seed) is the caller's manifest's job.
 
-    When [stop] is already set on entry the search runs with {e no}
+    Without a [store] an entry point runs the plain search on the same
+    arguments, so a caller makes one call whether or not it journals.
+    When [stop] is already set on entry the search also runs with {e no}
     persistence: the caller is winding down, so this leg's inputs may
     derive from an upstream search that was itself cut short (a warm
     start from an interrupted CWM leg, say) and journaling them would
@@ -31,7 +33,7 @@ val default_every : int
     (10,000 — well under 2% overhead on CDCM objectives). *)
 
 val annealing :
-  store:Nocmap_persist.Store.t ->
+  ?store:Nocmap_persist.Store.t ->
   key:string ->
   ?every:int ->
   rng:Nocmap_util.Rng.t ->
@@ -50,7 +52,7 @@ val annealing :
     @raise Failure on journal corruption or fingerprint mismatch. *)
 
 val local_search :
-  store:Nocmap_persist.Store.t ->
+  ?store:Nocmap_persist.Store.t ->
   key:string ->
   ?every:int ->
   objective:Objective.t ->
@@ -64,7 +66,7 @@ val local_search :
 (** {!Local_search.search} under the same protocol. *)
 
 val tabu :
-  store:Nocmap_persist.Store.t ->
+  ?store:Nocmap_persist.Store.t ->
   key:string ->
   ?every:int ->
   rng:Nocmap_util.Rng.t ->
@@ -81,7 +83,7 @@ val tabu :
     ["tabu"] — a shard recorded by any other algorithm is rejected). *)
 
 val genetic :
-  store:Nocmap_persist.Store.t ->
+  ?store:Nocmap_persist.Store.t ->
   key:string ->
   ?every:int ->
   rng:Nocmap_util.Rng.t ->
@@ -98,7 +100,7 @@ val genetic :
     ["ga"]). *)
 
 val portfolio :
-  store:Nocmap_persist.Store.t ->
+  ?store:Nocmap_persist.Store.t ->
   key:string ->
   ?every:int ->
   rng:Nocmap_util.Rng.t ->
@@ -125,7 +127,7 @@ val portfolio :
     without forcing [objective_for] (which may build caches). *)
 
 val decompose :
-  store:Nocmap_persist.Store.t ->
+  ?store:Nocmap_persist.Store.t ->
   key:string ->
   ?every:int ->
   rng:Nocmap_util.Rng.t ->

@@ -4,17 +4,16 @@ module Technology = Nocmap_energy.Technology
 module Cdcg = Nocmap_model.Cdcg
 module Textio = Nocmap_model.Textio
 module Json = Nocmap_persist.Json
+module Request = Nocmap_mapping.Request
 
 type app =
   | Builtin of string
   | Path of string
   | Inline of string
 
-type model =
-  | Cwm
-  | Cdcm
+type model = Request.model = Cwm | Cdcm
 
-type algorithm =
+type algorithm = Request.algorithm =
   | Sa
   | Local
   | Greedy
@@ -24,9 +23,7 @@ type algorithm =
   | Portfolio of Nocmap_mapping.Portfolio.strategy list
   | Decompose of Nocmap_mapping.Decompose.refiner
 
-type budget =
-  | Quick
-  | Standard
+type budget = Request.budget = Quick | Standard
 
 type t = {
   id : string;
@@ -57,45 +54,8 @@ let valid_id id =
   && String.for_all ok_char id
   && id.[0] <> '.' && id.[0] <> '-'
 
-let model_to_string = function Cwm -> "cwm" | Cdcm -> "cdcm"
-
-let model_of_string = function
-  | "cwm" -> Ok Cwm
-  | "cdcm" -> Ok Cdcm
-  | other -> Error (Printf.sprintf "unknown model %S (want cwm or cdcm)" other)
-
-let algorithm_to_string = function
-  | Sa -> "sa"
-  | Local -> "local"
-  | Greedy -> "greedy"
-  | Greedy_local -> "greedy+local"
-  | Random -> "random"
-  | Es -> "es"
-  | Portfolio _ -> "portfolio"
-  | Decompose _ -> "decompose"
-
-let algorithm_of_string = function
-  | "sa" -> Ok Sa
-  | "local" -> Ok Local
-  | "greedy" -> Ok Greedy
-  | "greedy+local" -> Ok Greedy_local
-  | "random" -> Ok Random
-  | "es" -> Ok Es
-  | "portfolio" -> Ok (Portfolio Nocmap_mapping.Portfolio.all_strategies)
-  | "decompose" -> Ok (Decompose Nocmap_mapping.Decompose.Sa)
-  | other ->
-    Error
-      (Printf.sprintf
-         "unknown algorithm %S (want sa, local, greedy, greedy+local, random, \
-          es, portfolio or decompose)"
-         other)
-
-let budget_to_string = function Quick -> "quick" | Standard -> "standard"
-
-let budget_of_string = function
-  | "quick" -> Ok Quick
-  | "standard" -> Ok Standard
-  | other -> Error (Printf.sprintf "unknown budget %S (want quick or standard)" other)
+let model_to_string = Request.model_to_string
+let algorithm_to_string = Request.algorithm_to_string
 
 let app_json = function
   | Builtin name -> Json.Assoc [ ("builtin", Json.Str name) ]
@@ -132,7 +92,7 @@ let to_json t =
       | Sa | Local | Greedy | Greedy_local | Random | Es -> [])
     @ [
        ("seed", Json.Int t.seed);
-       ("budget", Json.Str (budget_to_string t.budget));
+       ("budget", Json.Str (Request.budget_to_string t.budget));
        ("incremental", Json.Bool t.incremental);
      ]
     @
@@ -197,9 +157,25 @@ let parse_routing s =
     Error (Printf.sprintf "field \"routing\": %s" msg)
   | exception _ -> Error (Printf.sprintf "field \"routing\": bad algorithm %S" s)
 
+let fields =
+  [
+    "id"; "app"; "noc"; "routing"; "tech"; "flit"; "model"; "algorithm";
+    "strategies"; "refiner"; "seed"; "budget"; "incremental"; "timeout_ms";
+  ]
+
 let of_json j =
   match j with
-  | Json.Assoc _ ->
+  | Json.Assoc pairs ->
+    (* A misspelt field would otherwise fall back to its default and the
+       job would silently run something else. *)
+    let* () =
+      match List.find_opt (fun (name, _) -> not (List.mem name fields)) pairs with
+      | None -> Ok ()
+      | Some (name, _) ->
+        Error
+          (Printf.sprintf "unknown field %S (known fields: %s)" name
+             (String.concat ", " fields))
+    in
     let* id = str_field j "id" in
     let* () =
       if valid_id id then Ok ()
@@ -227,39 +203,26 @@ let of_json j =
       else Error (Printf.sprintf "field \"flit\": %d is out of range 1-4096" flit_bits)
     in
     let* model_s = str_field ~default:"cdcm" j "model" in
-    let* model = model_of_string model_s in
+    let* model = Request.model_of_string model_s in
     let* algorithm_s = str_field ~default:"sa" j "algorithm" in
-    let* algorithm = algorithm_of_string algorithm_s in
+    let* algorithm = Request.algorithm_of_string algorithm_s in
     let* algorithm =
       match (algorithm, Json.find "strategies" j) with
-      | Portfolio _, Some (Json.List entries) ->
-        let* names =
-          List.fold_left
-            (fun acc entry ->
-              let* acc = acc in
-              match entry with
-              | Json.Str name -> Ok (name :: acc)
-              | _ -> Error "field \"strategies\": expected a list of strings")
-            (Ok []) entries
+      | Portfolio _, Some (Json.List entries) -> (
+        let names =
+          List.filter_map (function Json.Str name -> Some name | _ -> None) entries
         in
-        let names = String.concat "," (List.rev names) in
-        let* strategies =
+        if List.compare_lengths names entries <> 0 then
+          Error "field \"strategies\": expected a list of strings"
+        else
+          let names = String.concat "," names in
           match Nocmap_mapping.Portfolio.strategies_of_string names with
-          | Ok s -> Ok s
-          | Error e -> Error (Printf.sprintf "field \"strategies\": %s" e)
-        in
-        Ok (Portfolio strategies)
-      | Portfolio _, Some _ ->
-        Error "field \"strategies\": expected a list of strings"
-      | Portfolio _, None -> Ok algorithm
-      | (Sa | Local | Greedy | Greedy_local | Random | Es | Decompose _), Some _
-        ->
-        Error
-          "field \"strategies\": only meaningful with \"algorithm\": \
-           \"portfolio\""
-      | (Sa | Local | Greedy | Greedy_local | Random | Es | Decompose _), None
-        ->
-        Ok algorithm
+          | Ok strategies -> Ok (Portfolio strategies)
+          | Error e -> Error ("field \"strategies\": " ^ e))
+      | Portfolio _, Some _ -> Error "field \"strategies\": expected a list of strings"
+      | _, Some _ ->
+        Error "field \"strategies\": only meaningful with \"algorithm\": \"portfolio\""
+      | _, None -> Ok algorithm
     in
     let* algorithm =
       match (algorithm, Json.find "refiner" j) with
@@ -269,23 +232,15 @@ let of_json j =
         | None ->
           Error
             (Printf.sprintf
-               "field \"refiner\": unknown refiner %S (want sa, tabu or \
-                local)"
-               name))
+               "field \"refiner\": unknown refiner %S (want sa, tabu or local)" name))
       | Decompose _, Some _ -> Error "field \"refiner\": expected a string"
-      | Decompose _, None -> Ok algorithm
-      | (Sa | Local | Greedy | Greedy_local | Random | Es | Portfolio _), Some _
-        ->
-        Error
-          "field \"refiner\": only meaningful with \"algorithm\": \
-           \"decompose\""
-      | (Sa | Local | Greedy | Greedy_local | Random | Es | Portfolio _), None
-        ->
-        Ok algorithm
+      | _, Some _ ->
+        Error "field \"refiner\": only meaningful with \"algorithm\": \"decompose\""
+      | _, None -> Ok algorithm
     in
     let* seed = int_field ~default:1 j "seed" in
     let* budget_s = str_field ~default:"standard" j "budget" in
-    let* budget = budget_of_string budget_s in
+    let* budget = Request.budget_of_string budget_s in
     let* incremental = bool_field ~default:false j "incremental" in
     let* () =
       if incremental && model <> Cdcm then
@@ -349,4 +304,11 @@ let resolve_app t =
       (Printf.sprintf "%d cores do not fit on %s" cores (Mesh.to_string t.mesh))
   else Ok cdcg
 
-let fingerprint t = Json.to_string (to_json t)
+let to_request t =
+  let* cdcg = resolve_app t in
+  let { mesh; routing; tech; flit_bits; model; algorithm; seed; budget; incremental; _ } =
+    t
+  in
+  Ok
+    { Request.cdcg; mesh; routing; tech; flit_bits; model; algorithm; seed;
+      budget; incremental; cache = true }

@@ -11,32 +11,24 @@ type app =
   | Path of string     (** A CDCG text file readable by the daemon. *)
   | Inline of string   (** CDCG text embedded in the spec itself. *)
 
-type model =
-  | Cwm   (** Communication-weight model (hop symmetry applies). *)
-  | Cdcm  (** Communication-dependence-and-computation model. *)
+(** The search fields are {!Nocmap_mapping.Request}'s own types.  On the
+    wire, [portfolio] takes an optional ["strategies"] list of names
+    from [spiral], [greedy], [sa], [tabu], [genetic] (default: all five;
+    an unknown or duplicate name rejects the spec), and [decompose] an
+    optional ["refiner"] — [sa] (default), [tabu] or [local]. *)
+type model = Nocmap_mapping.Request.model = Cwm | Cdcm
 
-type algorithm =
-  | Sa           (** Simulated annealing (checkpointable, resumable). *)
-  | Local        (** Steepest-descent local search (checkpointable). *)
-  | Greedy       (** Constructive greedy placement. *)
-  | Greedy_local (** Greedy seed refined by local search. *)
-  | Random       (** Random sampling baseline. *)
-  | Es           (** Exhaustive search (small instances only). *)
+type algorithm = Nocmap_mapping.Request.algorithm =
+  | Sa
+  | Local
+  | Greedy
+  | Greedy_local
+  | Random
+  | Es
   | Portfolio of Nocmap_mapping.Portfolio.strategy list
-      (** Racing portfolio ({!Nocmap_mapping.Portfolio}, checkpointable
-          as one shard).  The optional ["strategies"] field — a JSON
-          list of names from [spiral], [greedy], [sa], [tabu],
-          [genetic] — selects the racers; it defaults to all five, and
-          an unknown or duplicate name rejects the spec. *)
   | Decompose of Nocmap_mapping.Decompose.refiner
-      (** Divide-and-conquer mapping ({!Nocmap_mapping.Decompose},
-          checkpointable as one shard).  The optional ["refiner"] field
-          — [sa], [tabu] or [local] — selects the per-region searcher;
-          it defaults to [sa]. *)
 
-type budget =
-  | Quick     (** The algorithm's reduced-budget configuration. *)
-  | Standard  (** The algorithm's default budget. *)
+type budget = Nocmap_mapping.Request.budget = Quick | Standard
 
 type t = {
   id : string;  (** Unique per state directory; see {!valid_id}. *)
@@ -66,7 +58,9 @@ val of_json : Nocmap_persist.Json.t -> (t, string) result
 (** Validates field-by-field with defaults: noc ["3x3"], routing
     ["xy"], tech ["0.07um"], flit [16], model ["cdcm"], algorithm
     ["sa"], seed [1], budget ["standard"], incremental [false], no
-    timeout.  Never raises. *)
+    timeout.  A field outside that list (plus [id], [app],
+    [strategies] and [refiner]) rejects the spec, naming the field.
+    Never raises. *)
 
 val of_string : string -> (t, string) result
 (** {!of_json} after JSON parsing, with a 1 MiB size guard.  Never
@@ -76,14 +70,9 @@ val resolve_app : t -> (Nocmap_model.Cdcg.t, string) result
 (** Loads the application (catalog lookup, file read or inline parse)
     and checks it fits the mesh.  Never raises. *)
 
-val fingerprint : t -> string
-(** Deterministic serialization of the full spec, used as the
-    checkpoint-meta guard so a resumed daemon refuses to continue a
-    checkpoint under a changed spec. *)
+val to_request : t -> (Nocmap_mapping.Request.t, string) result
+(** {!resolve_app}, then the mapping request the job runs: every search
+    field carried over, with caching on. *)
 
 val model_to_string : model -> string
-val model_of_string : string -> (model, string) result
 val algorithm_to_string : algorithm -> string
-val algorithm_of_string : string -> (algorithm, string) result
-val budget_to_string : budget -> string
-val budget_of_string : string -> (budget, string) result

@@ -10,6 +10,7 @@ module Backoff = Serve.Backoff
 module Job_spec = Serve.Job_spec
 module Engine = Serve.Engine
 module Spool = Serve.Spool
+module Request = Nocmap_mapping.Request
 
 let temp_dir () =
   let path = Filename.temp_file "nocmap" ".serve" in
@@ -90,9 +91,7 @@ let test_spec_roundtrip () =
       | Ok s -> s
       | Error e -> Alcotest.fail e
     in
-    Alcotest.(check bool) "round-trips" true (spec = again);
-    Alcotest.(check string) "fingerprint is stable" (Job_spec.fingerprint spec)
-      (Job_spec.fingerprint again)
+    Alcotest.(check bool) "round-trips" true (spec = again)
 
 let test_spec_defaults () =
   match Job_spec.of_string {|{"id":"d","app":{"builtin":"fft8"}}|} with
@@ -210,6 +209,17 @@ let test_spec_portfolio_rejections () =
     {|{"id":"x","app":{"builtin":"fig1"},"algorithm":"sa",
        "strategies":["sa"]}|}
 
+(* A misspelt field must not fall back to its default silently:
+   "flit_bits" for "flit" would run the job on 16-bit flits. *)
+let test_spec_unknown_fields () =
+  expect_invalid ~needle:"unknown field \"flit_bits\""
+    {|{"id":"a","app":{"builtin":"fft8"},"flit_bits":64}|};
+  expect_invalid ~needle:"\"strategy\""
+    {|{"id":"a","app":{"builtin":"fft8"},"algorithm":"portfolio","strategy":["sa"]}|};
+  match Job_spec.of_string {|{"id":"a","app":{"builtin":"fft8"},"flit":64}|} with
+  | Ok spec -> Alcotest.(check int) "flit read" 64 spec.Job_spec.flit_bits
+  | Error e -> Alcotest.fail e
+
 let hostile_spec_prop =
   QCheck2.Test.make ~name:"Job_spec.of_string never raises"
     ~count:(Test_util.prop_count 500)
@@ -288,6 +298,259 @@ let test_engine_portfolio_job () =
     | _ -> Alcotest.fail "result has no cost")
   | None -> Alcotest.fail "no Completed event");
   Engine.close engine
+
+(* Every algorithm under every cost model and budget, on a planar, a
+   stacked and a torus mesh, through the engine (seed 3): MD5 digests of
+   the result JSON, so any drift in objective, cache or budget wiring
+   shows.  Greedy rows score the placement under the job's own
+   objective, with one extra evaluation. *)
+let pinned =
+  [
+    ("quick", "fft8",    "3x2",   "xy",       "cwm",  false, "sa",           "101c0b9943d3bc111629828de58ce9a9");
+    ("quick", "fft8",    "3x2",   "xy",       "cwm",  false, "local",        "848af15141e6eea6c552d3f6ffc0f2d5");
+    ("quick", "fft8",    "3x2",   "xy",       "cwm",  false, "greedy",       "b118809adfd33c8804a0a51812fc6a2d");
+    ("quick", "fft8",    "3x2",   "xy",       "cwm",  false, "greedy+local", "fd63cec74b0b143d66607ed122d4b54e");
+    ("quick", "fft8",    "3x2",   "xy",       "cwm",  false, "random",       "78022f78848e1d29dc2ee9d1b32b0cf9");
+    ("quick", "fft8",    "3x2",   "xy",       "cwm",  false, "es",           "0a7b9935a42d3787e4bf83092c7ec520");
+    ("quick", "fft8",    "3x2",   "xy",       "cwm",  false, "portfolio",    "8e35a38f80334dd5767bd8d2159372cb");
+    ("quick", "fft8",    "3x2",   "xy",       "cwm",  false, "decompose",    "473e4a05880a33b8c33b697c70014f68");
+    ("quick", "fft8",    "3x2",   "xy",       "cdcm", false, "sa",           "d014636a925c670516133bd6a3f04cba");
+    ("quick", "fft8",    "3x2",   "xy",       "cdcm", false, "local",        "50f41d4759db86638a7c16b30250feb7");
+    ("quick", "fft8",    "3x2",   "xy",       "cdcm", false, "greedy",       "181063af2858563ce76fe32dd58e464c");
+    ("quick", "fft8",    "3x2",   "xy",       "cdcm", false, "greedy+local", "17239d472acf25d7f0da6565afeffbe1");
+    ("quick", "fft8",    "3x2",   "xy",       "cdcm", false, "random",       "f982e288f04e5570e5c234afddd966c4");
+    ("quick", "fft8",    "3x2",   "xy",       "cdcm", false, "es",           "e129002ca94cdbca7527ee2264546201");
+    ("quick", "fft8",    "3x2",   "xy",       "cdcm", false, "portfolio",    "0e463c4abb84616fbe25451f55f2abc2");
+    ("quick", "fft8",    "3x2",   "xy",       "cdcm", false, "decompose",    "5d623310a330a6da236d2bf10d7d42bf");
+    ("quick", "fft8",    "3x2",   "xy",       "cdcm", true,  "sa",           "d014636a925c670516133bd6a3f04cba");
+    ("quick", "fft8",    "3x2",   "xy",       "cdcm", true,  "local",        "50f41d4759db86638a7c16b30250feb7");
+    ("quick", "fft8",    "3x2",   "xy",       "cdcm", true,  "greedy",       "181063af2858563ce76fe32dd58e464c");
+    ("quick", "fft8",    "3x2",   "xy",       "cdcm", true,  "greedy+local", "17239d472acf25d7f0da6565afeffbe1");
+    ("quick", "fft8",    "3x2",   "xy",       "cdcm", true,  "random",       "f982e288f04e5570e5c234afddd966c4");
+    ("quick", "fft8",    "3x2",   "xy",       "cdcm", true,  "es",           "e129002ca94cdbca7527ee2264546201");
+    ("quick", "fft8",    "3x2",   "xy",       "cdcm", true,  "portfolio",    "0e463c4abb84616fbe25451f55f2abc2");
+    ("quick", "fft8",    "3x2",   "xy",       "cdcm", true,  "decompose",    "5d623310a330a6da236d2bf10d7d42bf");
+    ("quick", "romberg", "2x2x2", "xy",       "cwm",  false, "sa",           "84c654bee3b0db5d801e3d311720e5d2");
+    ("quick", "romberg", "2x2x2", "xy",       "cwm",  false, "local",        "0c5f1dd3f3106f00918c22dca8b1e8c6");
+    ("quick", "romberg", "2x2x2", "xy",       "cwm",  false, "greedy",       "a23a3ee41506978248435aa8bd62e4c7");
+    ("quick", "romberg", "2x2x2", "xy",       "cwm",  false, "greedy+local", "e1f64f016e43c6de5cfb8a133baa8b4d");
+    ("quick", "romberg", "2x2x2", "xy",       "cwm",  false, "random",       "af51a02d02a72160f013a0c856ac7a8e");
+    ("quick", "romberg", "2x2x2", "xy",       "cwm",  false, "es",           "984a30c619e7bc72ab9225d25491a830");
+    ("quick", "romberg", "2x2x2", "xy",       "cwm",  false, "portfolio",    "2425ef6ca4bbea2de5fd7422ddcf2cf5");
+    ("quick", "romberg", "2x2x2", "xy",       "cwm",  false, "decompose",    "cba2ed3539c17bf9a3cfca1d4795e4ea");
+    ("quick", "romberg", "2x2x2", "xy",       "cdcm", false, "sa",           "c7efebc9f4fd70a78ac60b7d147e56ed");
+    ("quick", "romberg", "2x2x2", "xy",       "cdcm", false, "local",        "d5b6da41d0a1c4d3e10b01dfd166cfc8");
+    ("quick", "romberg", "2x2x2", "xy",       "cdcm", false, "greedy",       "88e9e113491758d2a13e52fc7d84f241");
+    ("quick", "romberg", "2x2x2", "xy",       "cdcm", false, "greedy+local", "b9c328181e52481215e82fa2c8d75758");
+    ("quick", "romberg", "2x2x2", "xy",       "cdcm", false, "random",       "1a369eda6597e42dab351ce98a7e915a");
+    ("quick", "romberg", "2x2x2", "xy",       "cdcm", false, "es",           "35004ea4a49c67e2d9a00612f584be21");
+    ("quick", "romberg", "2x2x2", "xy",       "cdcm", false, "portfolio",    "d165fb3db49665d76efb89cb68745340");
+    ("quick", "romberg", "2x2x2", "xy",       "cdcm", false, "decompose",    "f1c58154d399353db7e51d22eb22b6a0");
+    ("quick", "romberg", "2x2x2", "xy",       "cdcm", true,  "sa",           "c7efebc9f4fd70a78ac60b7d147e56ed");
+    ("quick", "romberg", "2x2x2", "xy",       "cdcm", true,  "local",        "d5b6da41d0a1c4d3e10b01dfd166cfc8");
+    ("quick", "romberg", "2x2x2", "xy",       "cdcm", true,  "greedy",       "88e9e113491758d2a13e52fc7d84f241");
+    ("quick", "romberg", "2x2x2", "xy",       "cdcm", true,  "greedy+local", "b9c328181e52481215e82fa2c8d75758");
+    ("quick", "romberg", "2x2x2", "xy",       "cdcm", true,  "random",       "1a369eda6597e42dab351ce98a7e915a");
+    ("quick", "romberg", "2x2x2", "xy",       "cdcm", true,  "es",           "35004ea4a49c67e2d9a00612f584be21");
+    ("quick", "romberg", "2x2x2", "xy",       "cdcm", true,  "portfolio",    "d165fb3db49665d76efb89cb68745340");
+    ("quick", "romberg", "2x2x2", "xy",       "cdcm", true,  "decompose",    "f1c58154d399353db7e51d22eb22b6a0");
+    ("quick", "romberg", "3x3",   "torus-xy", "cwm",  false, "sa",           "b4770734a69b2c25a2ce5fe3fdf1780b");
+    ("quick", "romberg", "3x3",   "torus-xy", "cwm",  false, "local",        "9959bea9cecf6b4e132de717adde7478");
+    ("quick", "romberg", "3x3",   "torus-xy", "cwm",  false, "greedy",       "c4450b6e94d50ef7636a3146436bf4ef");
+    ("quick", "romberg", "3x3",   "torus-xy", "cwm",  false, "greedy+local", "7d083e6306ce217dcbe58ee85ff4c984");
+    ("quick", "romberg", "3x3",   "torus-xy", "cwm",  false, "random",       "6f0c46eee3cf5a84aaa05f1fb1543b4a");
+    ("quick", "romberg", "3x3",   "torus-xy", "cwm",  false, "es",           "e9f1efd6d8d574a14d3a614646bf0e11");
+    ("quick", "romberg", "3x3",   "torus-xy", "cwm",  false, "portfolio",    "152a5ee6ce96a13341b272dc3d282bb7");
+    ("quick", "romberg", "3x3",   "torus-xy", "cwm",  false, "decompose",    "bc785207209e7540c0fe1a71a441133e");
+    ("quick", "romberg", "3x3",   "torus-xy", "cdcm", false, "sa",           "77890f16df6723e321de01dfcc825ed7");
+    ("quick", "romberg", "3x3",   "torus-xy", "cdcm", false, "local",        "13db1c8a529e2e15933b600839cded5e");
+    ("quick", "romberg", "3x3",   "torus-xy", "cdcm", false, "greedy",       "deac17d43122be398e9afee1b10a322a");
+    ("quick", "romberg", "3x3",   "torus-xy", "cdcm", false, "greedy+local", "24fdbf2fd13c1f6bd138a09878c70938");
+    ("quick", "romberg", "3x3",   "torus-xy", "cdcm", false, "random",       "fc4139d12b5537531fb548e6104d5a48");
+    ("quick", "romberg", "3x3",   "torus-xy", "cdcm", false, "es",           "fdb53c1d43aa60bd7955638154747523");
+    ("quick", "romberg", "3x3",   "torus-xy", "cdcm", false, "portfolio",    "20d753032af3a4597c7b5da1053b6c7d");
+    ("quick", "romberg", "3x3",   "torus-xy", "cdcm", false, "decompose",    "118b0fb145042689e64e956d166ed2ee");
+    ("quick", "romberg", "3x3",   "torus-xy", "cdcm", true,  "sa",           "77890f16df6723e321de01dfcc825ed7");
+    ("quick", "romberg", "3x3",   "torus-xy", "cdcm", true,  "local",        "13db1c8a529e2e15933b600839cded5e");
+    ("quick", "romberg", "3x3",   "torus-xy", "cdcm", true,  "greedy",       "deac17d43122be398e9afee1b10a322a");
+    ("quick", "romberg", "3x3",   "torus-xy", "cdcm", true,  "greedy+local", "24fdbf2fd13c1f6bd138a09878c70938");
+    ("quick", "romberg", "3x3",   "torus-xy", "cdcm", true,  "random",       "fc4139d12b5537531fb548e6104d5a48");
+    ("quick", "romberg", "3x3",   "torus-xy", "cdcm", true,  "es",           "fdb53c1d43aa60bd7955638154747523");
+    ("quick", "romberg", "3x3",   "torus-xy", "cdcm", true,  "portfolio",    "20d753032af3a4597c7b5da1053b6c7d");
+    ("quick", "romberg", "3x3",   "torus-xy", "cdcm", true,  "decompose",    "118b0fb145042689e64e956d166ed2ee");
+    ("standard", "fft8",    "3x2",   "xy",       "cwm",  false, "sa",           "a04de5abc97fe684fe48c376530edcd2");
+    ("standard", "fft8",    "3x2",   "xy",       "cwm",  false, "local",        "848af15141e6eea6c552d3f6ffc0f2d5");
+    ("standard", "fft8",    "3x2",   "xy",       "cwm",  false, "greedy",       "b118809adfd33c8804a0a51812fc6a2d");
+    ("standard", "fft8",    "3x2",   "xy",       "cwm",  false, "greedy+local", "fd63cec74b0b143d66607ed122d4b54e");
+    ("standard", "fft8",    "3x2",   "xy",       "cwm",  false, "random",       "64d6c15374ab6c1a0bbec1e47b1271f6");
+    ("standard", "fft8",    "3x2",   "xy",       "cwm",  false, "es",           "0a7b9935a42d3787e4bf83092c7ec520");
+    ("standard", "fft8",    "3x2",   "xy",       "cwm",  false, "portfolio",    "08b2b254aec68533710edf21276030c2");
+    ("standard", "fft8",    "3x2",   "xy",       "cwm",  false, "decompose",    "86f054fce623cacff25a16c7fb8f9e95");
+    ("standard", "fft8",    "3x2",   "xy",       "cdcm", false, "sa",           "f8d56a6e8f98e3b0ef4acf1156e95e12");
+    ("standard", "fft8",    "3x2",   "xy",       "cdcm", false, "local",        "50f41d4759db86638a7c16b30250feb7");
+    ("standard", "fft8",    "3x2",   "xy",       "cdcm", false, "greedy",       "181063af2858563ce76fe32dd58e464c");
+    ("standard", "fft8",    "3x2",   "xy",       "cdcm", false, "greedy+local", "17239d472acf25d7f0da6565afeffbe1");
+    ("standard", "fft8",    "3x2",   "xy",       "cdcm", false, "random",       "6f18cd9eb584f05972dc327c1998024a");
+    ("standard", "fft8",    "3x2",   "xy",       "cdcm", false, "es",           "e129002ca94cdbca7527ee2264546201");
+    ("standard", "fft8",    "3x2",   "xy",       "cdcm", false, "portfolio",    "6c2775f03d5d06207408c3150d3a3f47");
+    ("standard", "fft8",    "3x2",   "xy",       "cdcm", false, "decompose",    "7b3d52dbf584577400a57d1e0efd20e3");
+    ("standard", "fft8",    "3x2",   "xy",       "cdcm", true,  "sa",           "f8d56a6e8f98e3b0ef4acf1156e95e12");
+    ("standard", "fft8",    "3x2",   "xy",       "cdcm", true,  "local",        "50f41d4759db86638a7c16b30250feb7");
+    ("standard", "fft8",    "3x2",   "xy",       "cdcm", true,  "greedy",       "181063af2858563ce76fe32dd58e464c");
+    ("standard", "fft8",    "3x2",   "xy",       "cdcm", true,  "greedy+local", "17239d472acf25d7f0da6565afeffbe1");
+    ("standard", "fft8",    "3x2",   "xy",       "cdcm", true,  "random",       "6f18cd9eb584f05972dc327c1998024a");
+    ("standard", "fft8",    "3x2",   "xy",       "cdcm", true,  "es",           "e129002ca94cdbca7527ee2264546201");
+    ("standard", "fft8",    "3x2",   "xy",       "cdcm", true,  "portfolio",    "6c2775f03d5d06207408c3150d3a3f47");
+    ("standard", "fft8",    "3x2",   "xy",       "cdcm", true,  "decompose",    "7b3d52dbf584577400a57d1e0efd20e3");
+    ("standard", "romberg", "2x2x2", "xy",       "cwm",  false, "sa",           "15df88b18c57cdb0592be8a39dc4f7f0");
+    ("standard", "romberg", "2x2x2", "xy",       "cwm",  false, "local",        "0c5f1dd3f3106f00918c22dca8b1e8c6");
+    ("standard", "romberg", "2x2x2", "xy",       "cwm",  false, "greedy",       "a23a3ee41506978248435aa8bd62e4c7");
+    ("standard", "romberg", "2x2x2", "xy",       "cwm",  false, "greedy+local", "e1f64f016e43c6de5cfb8a133baa8b4d");
+    ("standard", "romberg", "2x2x2", "xy",       "cwm",  false, "random",       "a52cf5db0622a04440f0024ed2bb4059");
+    ("standard", "romberg", "2x2x2", "xy",       "cwm",  false, "es",           "984a30c619e7bc72ab9225d25491a830");
+    ("standard", "romberg", "2x2x2", "xy",       "cwm",  false, "portfolio",    "02aa63266143bf3380253d3b8bbf709f");
+    ("standard", "romberg", "2x2x2", "xy",       "cwm",  false, "decompose",    "02547329d8c9827228e4cc86bbf28f9c");
+    ("standard", "romberg", "2x2x2", "xy",       "cdcm", false, "sa",           "52093f4f52770e68fad2d0664a35f7fb");
+    ("standard", "romberg", "2x2x2", "xy",       "cdcm", false, "local",        "d5b6da41d0a1c4d3e10b01dfd166cfc8");
+    ("standard", "romberg", "2x2x2", "xy",       "cdcm", false, "greedy",       "88e9e113491758d2a13e52fc7d84f241");
+    ("standard", "romberg", "2x2x2", "xy",       "cdcm", false, "greedy+local", "b9c328181e52481215e82fa2c8d75758");
+    ("standard", "romberg", "2x2x2", "xy",       "cdcm", false, "random",       "2264d7de0d21f6125457eea871036825");
+    ("standard", "romberg", "2x2x2", "xy",       "cdcm", false, "es",           "35004ea4a49c67e2d9a00612f584be21");
+    ("standard", "romberg", "2x2x2", "xy",       "cdcm", false, "portfolio",    "ec7e57ee45d6e7c49a88dac19de199cb");
+    ("standard", "romberg", "2x2x2", "xy",       "cdcm", false, "decompose",    "11a5fce74f77cd2154b5d4579ddd6e85");
+    ("standard", "romberg", "2x2x2", "xy",       "cdcm", true,  "sa",           "52093f4f52770e68fad2d0664a35f7fb");
+    ("standard", "romberg", "2x2x2", "xy",       "cdcm", true,  "local",        "d5b6da41d0a1c4d3e10b01dfd166cfc8");
+    ("standard", "romberg", "2x2x2", "xy",       "cdcm", true,  "greedy",       "88e9e113491758d2a13e52fc7d84f241");
+    ("standard", "romberg", "2x2x2", "xy",       "cdcm", true,  "greedy+local", "b9c328181e52481215e82fa2c8d75758");
+    ("standard", "romberg", "2x2x2", "xy",       "cdcm", true,  "random",       "2264d7de0d21f6125457eea871036825");
+    ("standard", "romberg", "2x2x2", "xy",       "cdcm", true,  "es",           "35004ea4a49c67e2d9a00612f584be21");
+    ("standard", "romberg", "2x2x2", "xy",       "cdcm", true,  "portfolio",    "ec7e57ee45d6e7c49a88dac19de199cb");
+    ("standard", "romberg", "2x2x2", "xy",       "cdcm", true,  "decompose",    "11a5fce74f77cd2154b5d4579ddd6e85");
+    ("standard", "romberg", "3x3",   "torus-xy", "cwm",  false, "sa",           "ab1e18b629ee30f213b52e82de510153");
+    ("standard", "romberg", "3x3",   "torus-xy", "cwm",  false, "local",        "9959bea9cecf6b4e132de717adde7478");
+    ("standard", "romberg", "3x3",   "torus-xy", "cwm",  false, "greedy",       "c4450b6e94d50ef7636a3146436bf4ef");
+    ("standard", "romberg", "3x3",   "torus-xy", "cwm",  false, "greedy+local", "7d083e6306ce217dcbe58ee85ff4c984");
+    ("standard", "romberg", "3x3",   "torus-xy", "cwm",  false, "random",       "01c552d9c1e42b8d2e7c7375e370e878");
+    ("standard", "romberg", "3x3",   "torus-xy", "cwm",  false, "es",           "e9f1efd6d8d574a14d3a614646bf0e11");
+    ("standard", "romberg", "3x3",   "torus-xy", "cwm",  false, "portfolio",    "6de7955251963ea56468620fd2d3c901");
+    ("standard", "romberg", "3x3",   "torus-xy", "cwm",  false, "decompose",    "089f46c21876d1979f03d143683b8ee2");
+    ("standard", "romberg", "3x3",   "torus-xy", "cdcm", false, "sa",           "6b2a7f500d79517614f6610d872fff6c");
+    ("standard", "romberg", "3x3",   "torus-xy", "cdcm", false, "local",        "13db1c8a529e2e15933b600839cded5e");
+    ("standard", "romberg", "3x3",   "torus-xy", "cdcm", false, "greedy",       "deac17d43122be398e9afee1b10a322a");
+    ("standard", "romberg", "3x3",   "torus-xy", "cdcm", false, "greedy+local", "24fdbf2fd13c1f6bd138a09878c70938");
+    ("standard", "romberg", "3x3",   "torus-xy", "cdcm", false, "random",       "bcd542e54b697b7f3a4e1adad1227a16");
+    ("standard", "romberg", "3x3",   "torus-xy", "cdcm", false, "es",           "fdb53c1d43aa60bd7955638154747523");
+    ("standard", "romberg", "3x3",   "torus-xy", "cdcm", false, "portfolio",    "0950abdcb0c408c4ae9647148c018640");
+    ("standard", "romberg", "3x3",   "torus-xy", "cdcm", false, "decompose",    "57ea7df2ce9764bfe63f7c8c249df94d");
+    ("standard", "romberg", "3x3",   "torus-xy", "cdcm", true,  "sa",           "6b2a7f500d79517614f6610d872fff6c");
+    ("standard", "romberg", "3x3",   "torus-xy", "cdcm", true,  "local",        "13db1c8a529e2e15933b600839cded5e");
+    ("standard", "romberg", "3x3",   "torus-xy", "cdcm", true,  "greedy",       "deac17d43122be398e9afee1b10a322a");
+    ("standard", "romberg", "3x3",   "torus-xy", "cdcm", true,  "greedy+local", "24fdbf2fd13c1f6bd138a09878c70938");
+    ("standard", "romberg", "3x3",   "torus-xy", "cdcm", true,  "random",       "bcd542e54b697b7f3a4e1adad1227a16");
+    ("standard", "romberg", "3x3",   "torus-xy", "cdcm", true,  "es",           "fdb53c1d43aa60bd7955638154747523");
+    ("standard", "romberg", "3x3",   "torus-xy", "cdcm", true,  "portfolio",    "0950abdcb0c408c4ae9647148c018640");
+    ("standard", "romberg", "3x3",   "torus-xy", "cdcm", true,  "decompose",    "57ea7df2ce9764bfe63f7c8c249df94d");
+  ]
+
+let test_engine_pins_every_algorithm () =
+  let engine, events = make_engine (temp_dir ()) in
+  List.iteri
+    (fun i (budget, app, noc, routing, model, incremental, algorithm, digest) ->
+      let id = Printf.sprintf "pin-%d" i in
+      let spec =
+        Printf.sprintf
+          {|{"id":%S,"app":{"builtin":%S},"noc":%S,"routing":%S,"model":%S,"algorithm":%S,"budget":%S,"seed":3,"incremental":%b}|}
+          id app noc routing model algorithm budget incremental
+      in
+      (match Engine.submit engine ~source:"pin" spec with
+      | Engine.Submitted -> ()
+      | _ -> Alcotest.fail ("not admitted: " ^ spec));
+      Engine.run_pending engine;
+      match find_completed events id with
+      | None -> Alcotest.fail ("no reply: " ^ spec)
+      | Some result ->
+        let json = Json.to_string result in
+        Alcotest.(check string) (spec ^ " -> " ^ json) digest
+          (Digest.to_hex (Digest.string json)))
+    pinned;
+  Engine.close engine
+
+(* The result of one job run on a fresh engine. *)
+let run_job_json spec =
+  let engine, events = make_engine (temp_dir ()) in
+  (match Engine.submit engine ~source:"test" spec with
+  | Engine.Submitted -> ()
+  | _ -> Alcotest.fail ("not admitted: " ^ spec));
+  Engine.run_pending engine;
+  Engine.close engine;
+  match
+    List.find_map
+      (function Engine.Completed { result; _ } -> Some result | _ -> None)
+      !events
+  with
+  | Some result -> result
+  | None -> Alcotest.fail ("no reply: " ^ spec)
+
+(* A greedy job reports its cost under the job's model, like every other
+   algorithm: under CDCM it is the total energy of the placement. *)
+let test_engine_greedy_cost_follows_model () =
+  List.iter
+    (fun algorithm ->
+      let result =
+        run_job_json
+          (Printf.sprintf
+             {|{"id":"g","app":{"builtin":"fft8"},"noc":"3x3","model":"cdcm","algorithm":%S}|}
+             algorithm)
+      in
+      Alcotest.(check string) (algorithm ^ ": cost is the CDCM total")
+        (Json.to_string (Json.get "total_j" (Json.get "energy" result)))
+        (Json.to_string (Json.get "cost" result)))
+    [ "greedy"; "greedy+local" ]
+
+(* The oracle for one dispatch: the request `nocmap map` builds from its
+   default flags and the one the engine decodes from the equivalent spec
+   are equal, and the reply carries exactly the JSON of running it. *)
+let test_cli_and_serve_requests_agree () =
+  let cdcg = Option.get (Nocmap_apps.Catalog.find "romberg") in
+  List.iter
+    (fun (model, incremental) ->
+      List.iter
+        (fun algorithm ->
+          let cli =
+            {
+              Request.cdcg;
+              mesh = Nocmap_noc.Mesh.of_string "3x3";
+              routing = Nocmap_noc.Routing.Xy;
+              tech = Option.get (Nocmap_energy.Technology.of_name "0.07um");
+              flit_bits = 16;
+              model;
+              algorithm;
+              seed = 1;
+              budget = Request.Standard;
+              incremental;
+              cache = true;
+            }
+          in
+          let spec =
+            Printf.sprintf
+              {|{"id":"c","app":{"builtin":"romberg"},"model":%S,"algorithm":%S,"incremental":%b}|}
+              (Request.model_to_string model)
+              (Request.algorithm_to_string algorithm)
+              incremental
+          in
+          (match Result.bind (Job_spec.of_string spec) Job_spec.to_request with
+          | Ok serve -> Alcotest.(check bool) (spec ^ ": same request") true (cli = serve)
+          | Error e -> Alcotest.fail e);
+          Alcotest.(check string) (spec ^ ": same result JSON")
+            (Json.to_string (Request.result_json (Request.run cli)))
+            (Json.to_string (run_job_json spec)))
+        Request.
+          [
+            Sa; Local; Greedy; Greedy_local; Random; Es;
+            Portfolio Nocmap_mapping.Portfolio.all_strategies;
+            Decompose Nocmap_mapping.Decompose.Sa;
+          ])
+    [ (Request.Cwm, false); (Request.Cdcm, false); (Request.Cdcm, true) ]
 
 let test_engine_rejects_invalid () =
   let dir = temp_dir () in
@@ -639,10 +902,17 @@ let suite =
       Alcotest.test_case "spec portfolio strategies" `Quick test_spec_portfolio;
       Alcotest.test_case "spec portfolio rejections" `Quick
         test_spec_portfolio_rejections;
+      Alcotest.test_case "spec rejects unknown fields" `Quick test_spec_unknown_fields;
       QCheck_alcotest.to_alcotest hostile_spec_prop;
       Alcotest.test_case "engine runs a job" `Quick test_engine_runs_job;
       Alcotest.test_case "engine runs a portfolio job" `Quick
         test_engine_portfolio_job;
+      Alcotest.test_case "engine pins every algorithm and model" `Quick
+        test_engine_pins_every_algorithm;
+      Alcotest.test_case "engine greedy cost follows the model" `Quick
+        test_engine_greedy_cost_follows_model;
+      Alcotest.test_case "cli and serve requests agree" `Quick
+        test_cli_and_serve_requests_agree;
       Alcotest.test_case "engine rejects invalid input" `Quick test_engine_rejects_invalid;
       Alcotest.test_case "engine refuses duplicates" `Quick test_engine_duplicate;
       Alcotest.test_case "engine sheds overload" `Quick test_engine_sheds_overload;
