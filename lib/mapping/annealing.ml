@@ -7,10 +7,6 @@ module Series = Nocmap_obs.Series
    touch the RNG, so instrumented and plain runs are bit-identical. *)
 let m_runs = Metrics.counter ~help:"annealing descents executed" "search.sa_runs"
 
-let m_evals =
-  Metrics.counter ~help:"objective evaluations across all search algorithms"
-    "search.evaluations"
-
 let m_cutoff =
   Metrics.counter ~help:"candidate evaluations truncated by a prune cutoff"
     "search.cutoff_hits"
@@ -142,6 +138,13 @@ let search ~rng ~config ~tiles ~objective ?initial ?(ceiling = infinity)
     | Some c -> c.floor
     | None -> !temperature *. 1e-9
   in
+  (* Counters are flushed as this call's own work: a resumed descent
+     does not count its checkpoint's totals again. *)
+  let evals0, accepted0, rejected0, cutoff_hits0 =
+    match resume with
+    | Some c -> (c.evaluations, c.accepted, c.rejected, c.cutoff_hits)
+    | None -> (0, 0, 0, 0)
+  in
   let snapshot () =
     {
       rng_state = Rng.state rng;
@@ -249,9 +252,9 @@ let search ~rng ~config ~tiles ~objective ?initial ?(ceiling = infinity)
   | Some _ | None -> ());
   if Metrics.enabled () then begin
     Metrics.incr m_runs;
-    Metrics.add m_evals !evals;
-    Metrics.add m_cutoff !cutoff_hits;
-    Metrics.add m_accepted !accepted;
-    Metrics.add m_rejected !rejected
+    Objective.count_evaluations (!evals - evals0);
+    Metrics.add m_cutoff (!cutoff_hits - cutoff_hits0);
+    Metrics.add m_accepted (!accepted - accepted0);
+    Metrics.add m_rejected (!rejected - rejected0)
   end;
   { Objective.placement = !best; cost = !best_cost; evaluations = !evals }

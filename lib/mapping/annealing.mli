@@ -102,5 +102,6 @@ val search :
     search's random choices: passing it never changes the result.  When
     the {!Nocmap_obs.Metrics} registry is enabled the descent also
     flushes [search.sa_runs], [search.evaluations],
-    [search.cutoff_hits] and [search.sa_accepted]/[search.sa_rejected].
+    [search.cutoff_hits] and [search.sa_accepted]/[search.sa_rejected];
+    a resumed descent adds only the work done since its checkpoint.
     @raise Invalid_argument when [cores > tiles]. *)

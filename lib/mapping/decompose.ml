@@ -446,6 +446,7 @@ let search ~rng ~config ~crg ~cwg ~objective_for ?region_objective_for ?pool
     let objective = Lazy.force driver_objective in
     let cost = objective.Objective.cost_fn seed_map in
     seed_result := { Objective.placement = seed_map; cost; evaluations = 1 };
+    Objective.count_evaluations 1;
     for i = 0 to nr - 1 do
       region_rngs.(i) <- Rng.split rng
     done;
@@ -603,6 +604,7 @@ let search ~rng ~config ~crg ~cwg ~objective_for ?region_objective_for ?pool
       regions;
     let objective = Lazy.force driver_objective in
     let composed_cost = objective.Objective.cost_fn composed in
+    Objective.count_evaluations 1;
     let evaluations = total_evaluations () + 1 in
     base :=
       Some

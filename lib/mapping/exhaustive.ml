@@ -3,10 +3,6 @@ module Series = Nocmap_obs.Series
 
 let m_runs = Metrics.counter ~help:"exhaustive enumerations executed" "search.ex_runs"
 
-let m_evals =
-  Metrics.counter ~help:"objective evaluations across all search algorithms"
-    "search.evaluations"
-
 let m_symmetry_skipped =
   Metrics.counter
     ~help:"exhaustive leaves skipped as non-canonical under mesh symmetry"
@@ -83,7 +79,7 @@ let search ~objective ~cores ~tiles ?(max_arrangements = 2_000_000) ?symmetry
   assign 0;
   if Metrics.enabled () then begin
     Metrics.incr m_runs;
-    Metrics.add m_evals !evals;
+    Objective.count_evaluations !evals;
     Metrics.add m_symmetry_skipped !skipped
   end;
   match !best with

@@ -4,10 +4,6 @@ module Series = Nocmap_obs.Series
 
 let m_runs = Metrics.counter ~help:"genetic searches executed" "search.ga_runs"
 
-let m_evals =
-  Metrics.counter ~help:"objective evaluations across all search algorithms"
-    "search.evaluations"
-
 let m_cutoff =
   Metrics.counter ~help:"candidate evaluations truncated by a prune cutoff"
     "search.cutoff_hits"
@@ -155,6 +151,11 @@ let search ~rng ~(config : config) ~tiles ~objective ?initial
        the ceiling) so the search has a finite best to improve on. *)
     fitness := Array.map cost_of !population;
     Array.iteri (fun i p -> consider p !fitness.(i)) !population);
+  (* Counters are flushed as this call's own work: a resumed search
+     does not count its checkpoint's totals again. *)
+  let evals0, cutoff_hits0 =
+    match resume with Some c -> (c.evaluations, c.cutoff_hits) | None -> (0, 0)
+  in
   let snapshot () =
     {
       rng_state = Rng.state rng;
@@ -245,7 +246,7 @@ let search ~rng ~(config : config) ~tiles ~objective ?initial
   | Some _ | None -> ());
   if Metrics.enabled () then begin
     Metrics.incr m_runs;
-    Metrics.add m_evals !evals;
-    Metrics.add m_cutoff !cutoff_hits
+    Objective.count_evaluations (!evals - evals0);
+    Metrics.add m_cutoff (!cutoff_hits - cutoff_hits0)
   end;
   { Objective.placement = !best; cost = !best_cost; evaluations = !evals }

@@ -4,12 +4,8 @@ module Series = Nocmap_obs.Series
 let m_runs =
   Metrics.counter ~help:"steepest-descent searches executed" "search.ls_runs"
 
-(* Registration is idempotent, so these resolve to the same counters the
+(* Registration is idempotent, so this resolves to the same counter the
    annealer flushes into. *)
-let m_evals =
-  Metrics.counter ~help:"objective evaluations across all search algorithms"
-    "search.evaluations"
-
 let m_cutoff =
   Metrics.counter ~help:"candidate evaluations truncated by a prune cutoff"
     "search.cutoff_hits"
@@ -57,6 +53,11 @@ let search ~objective ~tiles ~initial ?(max_evaluations = 100_000) ?convergence
     current := Array.copy c.current;
     current_cost := c.current_cost
   | None -> current_cost := cost_of !current);
+  (* Counters are flushed as this call's own work: a resumed descent
+     does not count its checkpoint's totals again. *)
+  let evals0, cutoff_hits0 =
+    match resume with Some c -> (c.evaluations, c.cutoff_hits) | None -> (0, 0)
+  in
   let record () =
     match convergence with
     | Some series -> Series.add series ~x:(float_of_int !evals) ~y:!current_cost
@@ -127,7 +128,7 @@ let search ~objective ~tiles ~initial ?(max_evaluations = 100_000) ?convergence
   | Some _ | None -> ());
   if Metrics.enabled () then begin
     Metrics.incr m_runs;
-    Metrics.add m_evals !evals;
-    Metrics.add m_cutoff !cutoff_hits
+    Objective.count_evaluations (!evals - evals0);
+    Metrics.add m_cutoff (!cutoff_hits - cutoff_hits0)
   end;
   { Objective.placement = !current; cost = !current_cost; evaluations = !evals }

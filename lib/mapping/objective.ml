@@ -1,4 +1,5 @@
 module Wormhole = Nocmap_sim.Wormhole
+module Metrics = Nocmap_obs.Metrics
 
 type bound =
   | Exact of float
@@ -15,6 +16,12 @@ type search_result = {
   cost : float;
   evaluations : int;
 }
+
+let m_evaluations =
+  Metrics.counter ~help:"objective evaluations across all search algorithms"
+    "search.evaluations"
+
+let count_evaluations n = Metrics.add m_evaluations n
 
 let cwm ~tech ~crg ~cwg =
   {

@@ -33,6 +33,13 @@ type search_result = {
   evaluations : int;   (** Number of cost-function calls. *)
 }
 
+val count_evaluations : int -> unit
+(** Adds to the [search.evaluations] counter (a no-op while metrics are
+    off).  Each call counts only the work it did itself: a searcher
+    resumed from a checkpoint adds what it evaluated since, and a driver
+    adds the evaluations it makes outside any searcher where it makes
+    them, so the counter equals the sum of the reported [evaluations]. *)
+
 val cwm :
   tech:Nocmap_energy.Technology.t ->
   crg:Nocmap_noc.Crg.t ->

@@ -2,25 +2,38 @@ module Rng = Nocmap_util.Rng
 
 type t = int array
 
+(* [validate] runs on every CWM cost call, so it marks used tiles in a
+   per-domain array, grown to the largest tile count seen, instead of
+   allocating one per call: a tile is taken in this call iff its mark
+   equals the call's fresh stamp.  Nothing in the scan yields, so one
+   domain's marks are never shared. *)
+type marks = {
+  mutable stamps : int array;
+  mutable stamp : int;
+}
+
+let marks_key = Domain.DLS.new_key (fun () -> { stamps = [||]; stamp = 0 })
+
+let rec scan ~tiles ~(stamps : int array) ~stamp placement core =
+  if core >= Array.length placement then Ok ()
+  else
+    let tile = placement.(core) in
+    if tile < 0 || tile >= tiles then
+      Error (Printf.sprintf "core %d placed on out-of-range tile %d" core tile)
+    else if stamps.(tile) = stamp then
+      Error (Printf.sprintf "tile %d hosts more than one core" tile)
+    else begin
+      stamps.(tile) <- stamp;
+      scan ~tiles ~stamps ~stamp placement (core + 1)
+    end
+
 let validate ~tiles placement =
-  let cores = Array.length placement in
-  if cores > tiles then Error "more cores than tiles"
+  if Array.length placement > tiles then Error "more cores than tiles"
   else begin
-    let used = Array.make tiles false in
-    let rec scan core =
-      if core >= cores then Ok ()
-      else
-        let tile = placement.(core) in
-        if tile < 0 || tile >= tiles then
-          Error (Printf.sprintf "core %d placed on out-of-range tile %d" core tile)
-        else if used.(tile) then
-          Error (Printf.sprintf "tile %d hosts more than one core" tile)
-        else begin
-          used.(tile) <- true;
-          scan (core + 1)
-        end
-    in
-    scan 0
+    let marks = Domain.DLS.get marks_key in
+    if Array.length marks.stamps < tiles then marks.stamps <- Array.make tiles 0;
+    marks.stamp <- marks.stamp + 1;
+    scan ~tiles ~stamps:marks.stamps ~stamp:marks.stamp placement 0
   end
 
 let is_valid ~tiles placement = Result.is_ok (validate ~tiles placement)
@@ -43,12 +56,16 @@ let occupant placement ~tiles =
   Array.iteri (fun core tile -> inv.(tile) <- Some core) placement;
   inv
 
+(* The first core on [tile], or -1. *)
+let rec core_on placement tile core =
+  if core >= Array.length placement then -1
+  else if placement.(core) = tile then core
+  else core_on placement tile (core + 1)
+
 let move_to_tile placement ~core ~tile =
   let p = Array.copy placement in
-  let previous = placement.(core) in
-  (match Array.find_index (fun t -> t = tile) placement with
-  | Some other -> p.(other) <- previous
-  | None -> ());
+  let other = core_on placement tile 0 in
+  if other >= 0 then p.(other) <- placement.(core);
   p.(core) <- tile;
   p
 

@@ -299,6 +299,7 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
               evaluations = constructed.Objective.evaluations + 1;
             }
           in
+          Objective.count_evaluations result.Objective.evaluations;
           publish incumbent cost;
           (s, result))
         seed_strategies;

@@ -14,6 +14,8 @@ let search ~rng ~objective ~cores ~tiles ~samples =
       loop (i + 1) best
     end
   in
-  match loop 0 None with
+  let best = loop 0 None in
+  Objective.count_evaluations samples;
+  match best with
   | Some (placement, cost) -> { Objective.placement; cost; evaluations = samples }
   | None -> assert false

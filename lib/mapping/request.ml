@@ -215,12 +215,15 @@ let run ?(jobs = 1) ?stop ?persist ?shared ?convergence r =
       (* Constructed on the CWM heuristic, scored under the request's
          objective like {!Portfolio}'s greedy seed. *)
       let greedy = Greedy.search ~tech ~crg ~cwg () in
-      ( {
+      let scored =
+        {
           greedy with
           Objective.cost = (objective ()).Objective.cost_fn greedy.Objective.placement;
           evaluations = greedy.Objective.evaluations + 1;
-        },
-        Single )
+        }
+      in
+      Objective.count_evaluations scored.Objective.evaluations;
+      (scored, Single)
     | Random ->
       let samples = match r.budget with Quick -> 100 | Standard -> 1000 in
       (Random_search.search ~rng ~objective:(objective ()) ~cores ~tiles ~samples, Single)

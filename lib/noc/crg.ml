@@ -1,4 +1,4 @@
-type path = {
+type path = Routing.path = {
   routers : int array;
   links : int array;
 }
@@ -17,16 +17,6 @@ type t = {
   router_counts : int array; (* routers per pair, 0 = unreachable *)
   max_routers : int; (* longest route, in routers *)
 }
-
-let build_path mesh routing ~src ~dst =
-  let wrap = Routing.uses_wrap_links routing in
-  let routers = Array.of_list (Routing.router_path mesh routing ~src ~dst) in
-  let links =
-    Routing.links_of_path (Array.to_list routers)
-    |> List.map (fun (a, b) -> Link.id ~wrap mesh ~src:a ~dst:b)
-    |> Array.of_list
-  in
-  { routers; links }
 
 let unreachable_path = { routers = [||]; links = [||] }
 
@@ -140,7 +130,7 @@ let create ?(routing = Routing.Xy) ?faults mesh =
   match effective with
   | None ->
     let paths =
-      Array.init (n * n) (fun i -> build_path mesh routing ~src:(i / n) ~dst:(i mod n))
+      Array.init (n * n) (fun i -> Routing.route mesh routing ~src:(i / n) ~dst:(i mod n))
     in
     make ~mesh ~routing ~faults ~paths ~detours:(Array.make (n * n) 0)
   | Some f ->
@@ -159,7 +149,7 @@ let create ?(routing = Routing.Xy) ?faults mesh =
           end
         end
         else if src_alive && not (Fault.router_down f dst) then begin
-          let direct = build_path mesh routing ~src ~dst in
+          let direct = Routing.route mesh routing ~src ~dst in
           if route_intact f direct then begin
             paths.(i) <- direct;
             detours.(i) <- 0

@@ -16,7 +16,7 @@
     An empty fault set yields paths bit-identical to the fault-free
     CRG. *)
 
-type path = {
+type path = Routing.path = {
   routers : int array;  (** Tiles traversed, source to destination inclusive. *)
   links : int array;    (** {!Link.id}s between consecutive routers. *)
 }

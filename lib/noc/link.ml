@@ -14,7 +14,7 @@ let direction_to_string = function
   | Up -> "up"
   | Down -> "down"
 
-let direction_index = function
+let direction_slot = function
   | North -> 0
   | East -> 1
   | South -> 2
@@ -56,7 +56,7 @@ let direction_between ~wrap mesh ~src ~dst =
 let id ?(wrap = false) mesh ~src ~dst =
   if wrap then check_wrap_dims mesh;
   (slots_per_tile mesh * src)
-  + direction_index (direction_between ~wrap mesh ~src ~dst)
+  + direction_slot (direction_between ~wrap mesh ~src ~dst)
 
 let endpoints ?(wrap = false) mesh lid =
   if wrap then check_wrap_dims mesh;

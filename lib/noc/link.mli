@@ -26,6 +26,10 @@ type direction =
 
 val direction_to_string : direction -> string
 
+val direction_slot : direction -> int
+(** A direction's slot within its tile: the link leaving tile [a]
+    toward [d] has identifier [slots_per_tile * a + direction_slot d]. *)
+
 val slots_per_tile : Mesh.t -> int
 (** 4 on a planar mesh, 6 on a stacked one. *)
 

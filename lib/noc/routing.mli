@@ -26,17 +26,25 @@ val algorithm_of_string : string -> algorithm
 val uses_wrap_links : algorithm -> bool
 (** Whether routes may traverse wrap-around links. *)
 
-val router_path : Mesh.t -> algorithm -> src:int -> dst:int -> int list
-(** Routers visited in order, [src] and [dst] included.  [src = dst]
-    yields the singleton path.  On a stacked mesh the vertical offset is
-    resolved last, after both planar dimensions.
+type path = {
+  routers : int array;  (** Tiles traversed, source to destination inclusive. *)
+  links : int array;    (** {!Link.id}s between consecutive routers. *)
+}
+
+val route : Mesh.t -> algorithm -> src:int -> dst:int -> path
+(** The dimension-ordered route from [src] to [dst]: routers in order,
+    [src] and [dst] included ([src = dst] yields the singleton path),
+    and the link taken at each hop, read off the step direction (with
+    [~wrap] under a torus algorithm).  On a stacked mesh the vertical
+    offset is resolved last, after both planar dimensions.  Allocates
+    the two arrays and nothing per hop.
     @raise Invalid_argument for a torus algorithm on a mesh with a
-    planar dimension below 3 (see {!Link}). *)
+    planar dimension below 3 (see {!Link}), or an out-of-range tile. *)
+
+val router_path : Mesh.t -> algorithm -> src:int -> dst:int -> int list
+(** The routers of {!route}, as a list. *)
 
 val hop_count : Mesh.t -> algorithm -> src:int -> dst:int -> int
 (** Number of routers on the path (the paper's [K]); equals
     [manhattan src dst + 1] for the minimal mesh routes and at most that
     for torus routes. *)
-
-val links_of_path : int list -> (int * int) list
-(** Directed inter-tile links [(a, b)] between consecutive routers. *)

@@ -1,38 +1,48 @@
-type t = { mutable state : int64 }
+(* The splitmix64 word lives unboxed in 8 bytes, read and written with
+   the native 64-bit primitives: with [bits64] and [mix64] inlined, a
+   draw keeps the word in registers and allocates nothing, where a
+   mutable [int64] field would box a fresh word on every step. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = mix64 (Int64.of_int seed) }
+let of_state state =
+  let t = Bytes.create 8 in
+  set64 t 0 state;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create ~seed = of_state (mix64 (Int64.of_int seed))
 
-let split t =
-  let s = bits64 t in
-  { state = mix64 s }
+let[@inline] bits64 t =
+  let state = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 state;
+  mix64 state
 
-let copy t = { state = t.state }
-let state t = t.state
-let of_state state = { state }
-let set_state t state = t.state <- state
+let split t = of_state (mix64 (bits64 t))
+
+let copy = Bytes.copy
+let state t = get64 t 0
+let set_state t state = set64 t 0 state
 
 (* Unbiased bounded integer by rejection on the top 62 bits (keeps the
-   result a non-negative OCaml int). *)
+   result a non-negative OCaml int).  A top-level loop rather than a
+   local closure, so a draw allocates nothing. *)
+let rec int_below t bound =
+  let r = Int64.to_int (Int64.logand (bits64 t) 0x3FFFFFFFFFFFFFFFL) in
+  let v = r mod bound in
+  if r - v > 0x3FFFFFFFFFFFFFFF - bound + 1 then int_below t bound else v
+
 let int t bound =
   assert (bound > 0);
-  let mask = 0x3FFFFFFFFFFFFFFFL in
-  let rec draw () =
-    let r = Int64.to_int (Int64.logand (bits64 t) mask) in
-    let v = r mod bound in
-    if r - v > (0x3FFFFFFFFFFFFFFF - bound + 1) then draw () else v
-  in
-  draw ()
+  int_below t bound
 
 let int_in t lo hi =
   assert (lo <= hi);

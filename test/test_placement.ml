@@ -59,6 +59,28 @@ let prop_neighbor_valid_and_different =
       let q = Placement.random_neighbor rng ~tiles p in
       Placement.is_valid ~tiles q && q <> p)
 
+(* [validate] runs on every CWM cost call: checking 96 cores on 144
+   tiles must not allocate a tiles-long array per call. *)
+let test_validate_allocation () =
+  let rng = Rng.create ~seed:3 in
+  let placement = Placement.random rng ~cores:96 ~tiles:144 in
+  let calls () =
+    for _ = 1 to 1000 do
+      assert (Placement.validate ~tiles:144 placement = Ok ())
+    done
+  in
+  calls ();
+  let before = Gc.minor_words () in
+  calls ();
+  let per_call = (Gc.minor_words () -. before) /. 1000.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per call" per_call)
+    true (per_call <= 16.0);
+  (* The per-domain marks never leak between calls. *)
+  Alcotest.(check bool) "duplicate still caught" false
+    (Placement.is_valid ~tiles:144 (Array.append placement [| placement.(5) |]));
+  Alcotest.(check bool) "valid again" true (Placement.is_valid ~tiles:144 placement)
+
 let suite =
   ( "placement",
     [
@@ -71,6 +93,7 @@ let suite =
       Alcotest.test_case "occupant" `Quick test_occupant;
       Alcotest.test_case "to_string" `Quick test_to_string;
       Alcotest.test_case "too many cores" `Quick test_random_more_cores_than_tiles;
+      Alcotest.test_case "validate allocation" `Quick test_validate_allocation;
       QCheck_alcotest.to_alcotest prop_random_valid;
       QCheck_alcotest.to_alcotest prop_neighbor_valid_and_different;
     ] )

@@ -1,5 +1,6 @@
 module Mesh = Nocmap_noc.Mesh
 module Routing = Nocmap_noc.Routing
+module Link = Nocmap_noc.Link
 
 let gen_mesh_pair =
   QCheck2.Gen.(
@@ -57,9 +58,14 @@ let test_paper_example_routes () =
     (Routing.router_path mesh Routing.Xy ~src:1 ~dst:2)
 
 let test_links_of_path () =
-  Alcotest.(check (list (pair int int))) "pairs" [ (0, 1); (1, 2) ]
-    (Routing.links_of_path [ 0; 1; 2 ]);
-  Alcotest.(check (list (pair int int))) "singleton" [] (Routing.links_of_path [ 7 ])
+  let mesh = Mesh.create ~cols:3 ~rows:3 in
+  let route = Routing.route mesh Routing.Xy ~src:0 ~dst:2 in
+  Alcotest.(check (array int)) "routers" [| 0; 1; 2 |] route.Routing.routers;
+  Alcotest.(check (array int)) "links between consecutive routers"
+    [| Link.id mesh ~src:0 ~dst:1; Link.id mesh ~src:1 ~dst:2 |]
+    route.Routing.links;
+  Alcotest.(check (array int)) "singleton" [||]
+    (Routing.route mesh Routing.Xy ~src:7 ~dst:7).Routing.links
 
 let test_algorithm_strings () =
   Alcotest.(check string) "xy" "xy" (Routing.algorithm_to_string Routing.Xy);

@@ -135,6 +135,133 @@ let test_greedy_more_cores_than_tiles () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* --- search.evaluations counts each call's own work --- *)
+
+module Request = Mapping.Request
+module Metrics = Nocmap_obs.Metrics
+
+(* What [f] adds to each named counter, with metrics on. *)
+let counting names f =
+  let counters = List.map Metrics.counter names in
+  Metrics.with_enabled true (fun () ->
+      let before = List.map Metrics.counter_value counters in
+      let r = f () in
+      (r, List.map2 (fun c b -> Metrics.counter_value c - b) counters before))
+
+let request ?(budget = Request.Quick) ~cdcg ~noc ~model ~incremental algorithm =
+  {
+    Request.cdcg;
+    mesh = Mesh.of_string noc;
+    routing = Nocmap_noc.Routing.Xy;
+    tech = Option.get (Technology.of_name "0.07um");
+    flit_bits = 16;
+    model;
+    algorithm;
+    seed = 5;
+    budget;
+    incremental;
+    cache = true;
+  }
+
+(* Every algorithm adds exactly the evaluations it reports, including
+   the ones its driver makes outside any searcher (decompose seed and
+   composition, portfolio seeds, greedy's construction and scoring,
+   random samples), and every decompose slice or portfolio round counts
+   only its own work: the 60-core rows run regions and racers over
+   several slices each. *)
+let test_counter_matches_reported () =
+  let app name = Option.get (Nocmap_apps.Catalog.find name) in
+  let generated =
+    Nocmap_tgff.Generator.generate (Rng.create ~seed:20)
+      (Nocmap_tgff.Generator.default_spec ~name:"gen60" ~cores:60 ~packets:480
+         ~total_bits:6_000_000)
+  in
+  let all =
+    Request.
+      [
+        Sa; Local; Greedy; Greedy_local; Random; Es;
+        Portfolio Mapping.Portfolio.all_strategies;
+        Decompose Mapping.Decompose.Sa;
+      ]
+  in
+  let rows =
+    List.map (fun a -> ("fft8", app "fft8", "3x3", Request.Cwm, false, 1, a)) all
+    @ List.map
+        (fun a -> ("romberg", app "romberg", "3x2", Request.Cdcm, true, 2, a))
+        (all
+        @ Request.[ Decompose Mapping.Decompose.Tabu; Decompose Mapping.Decompose.Local ])
+    @ List.map
+        (fun a -> ("gen60", generated, "8x8", Request.Cwm, false, 2, a))
+        Request.
+          [
+            Portfolio Mapping.Portfolio.all_strategies;
+            Decompose Mapping.Decompose.Sa;
+          ]
+  in
+  List.iter
+    (fun (name, cdcg, noc, model, incremental, jobs, algorithm) ->
+      let budget = if noc = "8x8" then Request.Standard else Request.Quick in
+      let outcome, counted =
+        counting [ "search.evaluations" ] (fun () ->
+            Request.run ~jobs (request ~budget ~cdcg ~noc ~model ~incremental algorithm))
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s %s %s %s" name noc (Request.model_to_string model)
+           (Request.algorithm_to_string algorithm))
+        [ outcome.Request.result.Mapping.Objective.evaluations ]
+        counted)
+    rows
+
+(* A descent interrupted and resumed from its checkpoint: the resumed
+   call adds only what it did after the checkpoint to every counter. *)
+let test_resumed_sa_counts_own_work () =
+  let cdcg = Option.get (Nocmap_apps.Catalog.find "fft8") in
+  let crg = Crg.create (Mesh.create ~cols:3 ~rows:3) in
+  let objective =
+    Mapping.Objective.cdcm ~incremental:true
+      ~tech:(Option.get (Technology.of_name "0.07um"))
+      ~params ~crg ~cdcg ()
+  in
+  (* A cool start makes the prune cutoff bite, so every counter moves. *)
+  let config =
+    {
+      (Mapping.Annealing.quick_config ~tiles:9) with
+      Mapping.Annealing.prune = Some 20.0;
+      initial_temperature = `Fixed 1e-13;
+    }
+  in
+  let names =
+    [
+      "search.evaluations"; "search.sa_accepted"; "search.sa_rejected";
+      "search.cutoff_hits";
+    ]
+  in
+  let totals (c : Mapping.Annealing.checkpoint) =
+    Mapping.Annealing.[ c.evaluations; c.accepted; c.rejected; c.cutoff_hits ]
+  in
+  (* Stops after [moves] stop polls, capturing the final checkpoint. *)
+  let leg ?resume moves =
+    let polls = ref 0 and captured = ref None in
+    let _, counted =
+      counting names (fun () ->
+          Mapping.Annealing.search ~rng:(Rng.create ~seed:4) ~config ~tiles:9 ~objective
+            ~stop:(fun () ->
+              incr polls;
+              !polls > moves)
+            ~checkpoint:(max_int, fun c -> captured := Some c)
+            ?resume ~cores:(Nocmap_model.Cdcg.core_count cdcg) ())
+    in
+    (Option.get !captured, counted)
+  in
+  let first, first_counted = leg 80 in
+  Alcotest.(check (list int)) "interrupted call" (totals first) first_counted;
+  let second, second_counted = leg ~resume:first 120 in
+  Alcotest.(check (list int)) "resumed call counts only its own work"
+    (List.map2 ( - ) (totals second) (totals first))
+    second_counted;
+  Alcotest.(check bool) "the resumed call moved every counter" true
+    (List.for_all (fun n -> n > 0) second_counted)
+
 let suite =
   ( "search",
     [
@@ -151,4 +278,8 @@ let suite =
       Alcotest.test_case "random search validation" `Quick test_random_search_validation;
       Alcotest.test_case "greedy" `Quick test_greedy;
       Alcotest.test_case "greedy cores > tiles" `Quick test_greedy_more_cores_than_tiles;
+      Alcotest.test_case "counter matches reported evaluations" `Quick
+        test_counter_matches_reported;
+      Alcotest.test_case "resumed SA counts its own work" `Quick
+        test_resumed_sa_counts_own_work;
     ] )
