@@ -546,15 +546,6 @@ let bench_json () =
     ops_per_sec (fun i ->
         ignore (Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg (pick i)))
   in
-  let inc =
-    Mapping.Cost_cwm_incremental.create ~tech ~crg ~cwg ~placement:(pick 0)
-  in
-  let cwm_inc_ops =
-    ops_per_sec (fun i ->
-        ignore
-          (Mapping.Cost_cwm_incremental.move_delta inc ~core:(i mod cores)
-             ~tile:(i mod tiles)))
-  in
   (* The perf trajectory is tracked against a frozen copy of the seed
      simulator (record events, per-call allocation of every structure) —
      see [Baseline_sim].  Speedups below are relative to it.
@@ -789,9 +780,10 @@ let bench_json () =
     Nocmap_persist.Store.open_ ~dir:path
   in
   let persisted_sa ?(every = Mapping.Search_persist.default_every) ?stop store =
-    Mapping.Search_persist.annealing ~store ~key:"bench-sa" ~every
+    Mapping.Search_persist.refine ~store ~key:"bench-sa" ~every
       ~rng:(Rng.create ~seed:(seed + 37))
-      ~config:sa_config ~tiles ~objective:(plain_objective ()) ?stop ~cores ()
+      (Mapping.Refiner.Sa sa_config) ~tiles ~objective:(plain_objective ()) ?stop
+      ~cores ()
   in
   let sa_unjournaled, plain_seconds =
     min_of_3 (fun () -> sa_run (plain_objective ()))
@@ -1026,7 +1018,6 @@ let bench_json () =
   "seed": %d,
   "budget": %S,
   "cwm_eval_ops_per_sec": %.1f,
-  "cwm_incremental_move_ops_per_sec": %.1f,
   "cdcm_eval_seed_baseline_ops_per_sec": %.1f,
   "cdcm_eval_fresh_ops_per_sec": %.1f,
   "cdcm_eval_arena_ops_per_sec": %.1f,
@@ -1074,7 +1065,7 @@ let bench_json () =
          | Experiment.Quick -> "quick"
          | Experiment.Standard -> "standard"
          | Experiment.Thorough -> "thorough")
-      cwm_ops cwm_inc_ops cdcm_baseline_ops cdcm_fresh_ops cdcm_arena_ops
+      cwm_ops cdcm_baseline_ops cdcm_fresh_ops cdcm_arena_ops
       cdcm_arena_metrics_ops cdcm_cutoff_ops cdcm_cutoff_move_ops
       cdcm_inc_move_ops cdcm_inc_bound_ops
       inc_delta_hit_percent inc_move_delta_hit_percent arena_speedup cutoff_speedup
@@ -1126,13 +1117,6 @@ let bechamel_report () =
       Test.make ~name:"table2-cdcm-eval-3x3"
         (Staged.stage (fun () ->
              Wormhole.run ~trace:false ~params:example_params ~crg ~placement cdcg));
-      Test.make ~name:"cwm-incremental-move"
-        (let inc =
-           Mapping.Cost_cwm_incremental.create ~tech:Technology.t007 ~crg ~cwg
-             ~placement
-         in
-         Staged.stage (fun () ->
-             Mapping.Cost_cwm_incremental.move_delta inc ~core:0 ~tile:3));
       Test.make ~name:"analytic-estimate-3x3"
         (Staged.stage (fun () ->
              Nocmap_sim.Analytic.estimate ~params:example_params ~crg ~placement cdcg));
@@ -1494,7 +1478,7 @@ let run_compare ~baseline_path ~current_path ~tolerance_percent =
   in
   List.iter report_only
     [
-      "cwm_eval_ops_per_sec"; "cwm_incremental_move_ops_per_sec";
+      "cwm_eval_ops_per_sec";
       "cdcm_eval_seed_baseline_ops_per_sec"; "cdcm_eval_fresh_ops_per_sec";
       "cdcm_eval_arena_ops_per_sec"; "cdcm_eval_arena_metrics_ops_per_sec";
       "cdcm_eval_arena_cutoff_ops_per_sec";

@@ -27,12 +27,46 @@ module Obs = Nocmap_obs
 module Json = Nocmap_persist.Json
 module Store = Nocmap_persist.Store
 
+(* Converters that refuse hostile values at parse time: a bad option
+   exits 124 with one message naming it, not an uncaught exception from
+   deep inside the run. *)
+let mesh_conv =
+  let parse text =
+    match Mesh.of_string text with
+    | mesh -> Ok mesh
+    | exception Invalid_argument _ ->
+      Error
+        (`Msg
+          (Printf.sprintf
+             "invalid value '%s', expected <cols>x<rows>[x<layers>], each \
+              >= 1, at most 2^24 tiles"
+             text))
+  in
+  Arg.conv (parse, fun ppf mesh -> Format.pp_print_string ppf (Mesh.to_string mesh))
+
+let int_at_least lowest =
+  let parse text =
+    match int_of_string_opt text with
+    | Some n when n >= lowest -> Ok n
+    | Some _ | None ->
+      Error
+        (`Msg
+          (Printf.sprintf "invalid value '%s', expected an integer >= %d" text
+             lowest))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive = int_at_least 1
+
 let mesh_arg =
   let doc =
     "NoC size as <cols>x<rows> (e.g. 3x3), or <cols>x<rows>x<layers> for a \
      stacked 3-D mesh with TSV vertical links (e.g. 4x4x2)."
   in
-  Arg.(value & opt string "3x3" & info [ "noc" ] ~docv:"SIZE" ~doc)
+  Arg.(
+    value
+    & opt mesh_conv (Mesh.create ~cols:3 ~rows:3)
+    & info [ "noc" ] ~docv:"SIZE" ~doc)
 
 let seed_arg =
   let doc = "Random seed; every run is deterministic for a fixed seed." in
@@ -40,7 +74,7 @@ let seed_arg =
 
 let flit_arg =
   let doc = "Link width in bits (flit size)." in
-  Arg.(value & opt int 16 & info [ "flit" ] ~docv:"BITS" ~doc)
+  Arg.(value & opt positive 16 & info [ "flit" ] ~docv:"BITS" ~doc)
 
 let tech_arg =
   let doc = "Technology point: 0.35um, 0.18um, 0.13um or 0.07um." in
@@ -148,7 +182,7 @@ let checkpoint_every_arg =
   let doc = "Checkpoint cadence in cost evaluations." in
   Arg.(
     value
-    & opt int Mapping.Search_persist.default_every
+    & opt positive Mapping.Search_persist.default_every
     & info [ "checkpoint-every" ] ~docv:"EVALS" ~doc)
 
 (* The argv actually being evaluated: [Sys.argv] normally, the recorded
@@ -282,15 +316,18 @@ let save_text ~path text =
 
 let gen_cmd =
   let cores =
-    Arg.(value & opt int 9 & info [ "cores" ] ~docv:"N" ~doc:"Number of cores.")
+    Arg.(
+      value & opt (int_at_least 2) 9
+      & info [ "cores" ] ~docv:"N" ~doc:"Number of cores.")
   in
   let packets =
-    Arg.(value & opt int 32 & info [ "packets" ] ~docv:"N" ~doc:"Number of packets.")
+    Arg.(value & opt positive 32 & info [ "packets" ] ~docv:"N" ~doc:"Number of packets.")
   in
   let bits =
     Arg.(
-      value & opt int 50_000
-      & info [ "bits" ] ~docv:"N" ~doc:"Total communication volume in bits.")
+      value & opt positive 50_000
+      & info [ "bits" ] ~docv:"N"
+          ~doc:"Total communication volume in bits, at least one per packet.")
   in
   let pipeline =
     Arg.(
@@ -304,7 +341,7 @@ let gen_cmd =
   in
   let rounds =
     Arg.(
-      value & opt int 8
+      value & opt positive 8
       & info [ "rounds" ] ~docv:"N"
           ~doc:"Waves pushed through a $(b,--pipeline); ignored otherwise.")
   in
@@ -317,6 +354,8 @@ let gen_cmd =
     let cdcg =
       match pipeline with
       | None ->
+        if bits < packets then
+          or_die (Error "option '--bits': must be at least --packets (one bit per packet)");
         let spec =
           Nocmap_tgff.Generator.default_spec
             ~name:(Printf.sprintf "random-%d" seed)
@@ -386,7 +425,7 @@ let jobs_arg =
      NOCMAP_JOBS environment variable when set, else the machine's \
      recommended domain count.  Results are identical for any value."
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
+  Arg.(value & opt (some positive) None & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
 
 let resolve_jobs jobs =
   match jobs with
@@ -468,7 +507,6 @@ let map_cmd =
       strategies_spec refiner_spec jobs save metrics convergence_path cache
       incremental checkpoint_dir checkpoint_every =
     let module Request = Mapping.Request in
-    let mesh = Mesh.of_string mesh in
     let tech = or_die (load_tech tech_name) in
     let cdcg = or_die (load_app ~path:app ~builtin) in
     let routing = or_die (load_routing routing) in
@@ -617,7 +655,6 @@ let eval_cmd =
     Arg.(value & flag & info [ "hotspots" ] ~doc:"Print the busiest links.")
   in
   let run mesh flit tech_name routing app builtin placement gantt annotations hotspots =
-    let mesh = Mesh.of_string mesh in
     let tech = or_die (load_tech tech_name) in
     let cdcg = or_die (load_app ~path:app ~builtin) in
     let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
@@ -646,7 +683,6 @@ let eval_cmd =
 
 let analyze_cmd =
   let run mesh flit routing app builtin placement =
-    let mesh = Mesh.of_string mesh in
     let cdcg = or_die (load_app ~path:app ~builtin) in
     let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
     let params = Noc_params.make ~flit_bits:flit () in
@@ -710,7 +746,6 @@ let dot_cmd =
     in
     match what with
     | "crg" ->
-      let mesh = Mesh.of_string mesh in
       let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
       emit
         (Nocmap_graph.Dot.render ~graph_name:(Mesh.to_string mesh)
@@ -760,7 +795,6 @@ let export_cmd =
       & info [ "kind" ] ~docv:"KIND" ~doc:"CSV to export: packets or links.")
   in
   let run mesh flit routing app builtin what out =
-    let mesh = Mesh.of_string mesh in
     let cdcg = or_die (load_app ~path:app ~builtin) in
     let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
     let params = Noc_params.make ~flit_bits:flit () in
@@ -826,12 +860,12 @@ let table2_cmd =
 let faults_cmd =
   let multi_k =
     Arg.(
-      value & opt int 2
+      value & opt positive 2
       & info [ "multi-k" ] ~docv:"K" ~doc:"Failed links per sampled multi-fault scenario.")
   in
   let multi_count =
     Arg.(
-      value & opt int 8
+      value & opt (int_at_least 0) 8
       & info [ "multi-count" ] ~docv:"N"
           ~doc:"Number of sampled multi-fault scenarios (0 disables them).")
   in
@@ -842,7 +876,6 @@ let faults_cmd =
   in
   let run mesh seed tech_name app builtin quick jobs multi_k multi_count csv metrics
       use_cache checkpoint_dir checkpoint_every =
-    let mesh = Mesh.of_string mesh in
     let tech = or_die (load_tech tech_name) in
     let cdcg = or_die (load_app ~path:app ~builtin) in
     if Cdcg.core_count cdcg > Mesh.tile_count mesh then
@@ -913,7 +946,6 @@ let profile_cmd =
              as CSV (from a metered re-simulation).")
   in
   let run mesh seed tech_name app builtin quick jobs format heatmap use_cache =
-    let mesh = Mesh.of_string mesh in
     let tech = or_die (load_tech tech_name) in
     let cdcg = or_die (load_app ~path:app ~builtin) in
     if Cdcg.core_count cdcg > Mesh.tile_count mesh then

@@ -133,16 +133,13 @@ let multi_start ?(budget_scale = 1) ?warm_start ?pool ?stop ?persist ~rng
        given (the CWM winner): the CDCM search then never returns a
        mapping worse than the CWM one under its own objective. *)
     let initial = if i = restarts - 1 then warm_start else None in
-    let objective = make_objective () in
-    match persist with
-    | None ->
-      Mapping.Annealing.search ~rng:rngs.(i) ~config:sa ~tiles ~objective
-        ?initial ?stop ~cores ()
-    | Some p ->
-      Mapping.Search_persist.annealing ~store:p.store
-        ~key:(Printf.sprintf "%s.leg%d" p.scope i)
-        ~every:p.every ~rng:rngs.(i) ~config:sa ~tiles ~objective ?initial
-        ?stop ~cores ()
+    let scope = match persist with Some p -> p.scope | None -> "run" in
+    Mapping.Search_persist.refine
+      ?store:(Option.map (fun p -> p.store) persist)
+      ~key:(Printf.sprintf "%s.leg%d" scope i)
+      ?every:(Option.map (fun p -> p.every) persist)
+      ~rng:rngs.(i) (Mapping.Refiner.Sa sa) ~tiles ~objective:(make_objective ())
+      ?initial ?stop ~cores ()
   in
   let results = Domain_pool.map ?pool leg (Array.init restarts Fun.id) in
   let best = ref results.(0) in

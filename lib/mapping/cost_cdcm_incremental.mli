@@ -36,8 +36,8 @@
     The evaluator is a cache anchored at a reference placement: query
     entry points ({!bound_for}, {!evaluate_for}) may silently re-anchor
     it at the candidate they just paid a full simulation for, while the
-    {!Cost_cwm_incremental}-style walk API ({!move_delta},
-    {!apply_move}) keeps the anchor caller-controlled.  State is always
+    walk API ({!move_delta}, {!apply_move}) keeps the anchor
+    caller-controlled.  State is always
     reconstructible from the placement alone — checkpoint/resume flows
     rebuild it with {!create} and never serialize it.
 

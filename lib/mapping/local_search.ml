@@ -110,10 +110,11 @@ let search ~objective ~tiles ~initial ?(max_evaluations = 100_000) ?convergence
   (* Checkpoints land on pass boundaries only: the state between passes
      is exactly (current, cost, evals), so a resumed descent replays the
      next pass move-for-move. *)
+  let converged = ref false in
   let rec descend () =
     if !evals < max_evaluations && not (stop ()) then begin
       match best_move () with
-      | None -> ()
+      | None -> converged := true
       | Some (placement, cost) ->
         current := placement;
         current_cost := cost;
@@ -123,8 +124,11 @@ let search ~objective ~tiles ~initial ?(max_evaluations = 100_000) ?convergence
     end
   in
   descend ();
+  (* A stop that lands during the pass proving the local optimum leaves
+     nothing to resume: recording that boundary would make the resumed
+     descent pay for the same pass again. *)
   (match checkpoint with
-  | Some (_, hook) when stop () -> hook (snapshot ())
+  | Some (_, hook) when stop () && not !converged -> hook (snapshot ())
   | Some _ | None -> ());
   if Metrics.enabled () then begin
     Metrics.incr m_runs;

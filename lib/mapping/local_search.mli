@@ -37,7 +37,9 @@ val search :
     [?stop] is polled between passes (must be sticky once [true]).
     [?checkpoint:(every, hook)] calls [hook] at the first pass boundary
     after [every] further evaluations, plus once when [stop] cuts the
-    descent short.  [?resume] restarts from a recorded pass boundary;
+    descent short of its local optimum (a stop during the pass that
+    proves the optimum flushes nothing: the descent is complete).
+    [?resume] restarts from a recorded pass boundary;
     [initial] is then only used for validation.  Neither option changes
     the result.
     @raise Invalid_argument when [initial] is not a valid placement. *)

@@ -120,17 +120,11 @@ let quick_config ~tiles =
     genetic = Genetic.quick_config ~tiles;
   }
 
-type leg_state =
-  | Sa_running of Annealing.checkpoint
-  | Tabu_running of Tabu.checkpoint
-  | Genetic_running of Genetic.checkpoint
-  | Leg_done of Objective.search_result
-
 type checkpoint = {
   round : int;
   in_round : bool;
   seeds : (strategy * Objective.search_result) list;
-  legs : (strategy * leg_state) list;
+  legs : (strategy * Refiner.state) list;
   best : Placement.t;
   best_cost : float;
   best_by : strategy;
@@ -157,48 +151,6 @@ type report = {
   tightenings : int;
   per_strategy : strategy_report list;
 }
-
-let leg_best_cost = function
-  | Sa_running c -> c.Annealing.best_cost
-  | Tabu_running c -> c.Tabu.best_cost
-  | Genetic_running c -> c.Genetic.best_cost
-  | Leg_done r -> r.Objective.cost
-
-let leg_best = function
-  | Sa_running c -> c.Annealing.best
-  | Tabu_running c -> c.Tabu.best
-  | Genetic_running c -> c.Genetic.best
-  | Leg_done r -> r.Objective.placement
-
-let leg_evaluations = function
-  | Sa_running c -> c.Annealing.evaluations
-  | Tabu_running c -> c.Tabu.evaluations
-  | Genetic_running c -> c.Genetic.evaluations
-  | Leg_done r -> r.Objective.evaluations
-
-let leg_rng_state = function
-  | Sa_running c -> c.Annealing.rng_state
-  | Tabu_running c -> c.Tabu.rng_state
-  | Genetic_running c -> c.Genetic.rng_state
-  | Leg_done _ -> 0L
-
-(* A cost-call counting view of an objective: transparent to the search
-   (same values, same bound verdicts), it only lets the driver meter a
-   slice's evaluation budget from outside. *)
-let counted n (objective : Objective.t) =
-  {
-    objective with
-    Objective.cost_fn =
-      (fun p ->
-        incr n;
-        objective.Objective.cost_fn p);
-    bound_fn =
-      Option.map
-        (fun bound_fn ~cutoff p ->
-          incr n;
-          bound_fn ~cutoff p)
-        objective.Objective.bound_fn;
-  }
 
 (* The shared incumbent: racers CAS-publish their best cost as each
    slice ends (concurrently, from pool domains); the driver reads it
@@ -228,13 +180,14 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
   let refiners = Array.of_list (List.filter (fun s -> not (is_seed s)) strategies) in
   let n_refiners = Array.length refiners in
   let incumbent = Atomic.make infinity in
+  (* One pre-split RNG substream per refiner, in the order [strategies]
+     lists them; a resumed racer restores its own word from its state. *)
+  let leg_rngs = Array.init n_refiners (fun _ -> Rng.split rng) in
   (* Mutable driver state, either restored from a checkpoint or built
-     fresh: constructive seeds first, then one pre-split RNG substream
-     per refiner, in the order [strategies] lists them. *)
+     fresh from the constructive seeds. *)
   let round = ref 0 in
   let seeds = ref [] in
   let legs = Array.make n_refiners None in
-  let leg_rngs = Array.make n_refiners rng in
   let best = ref [||] and best_cost = ref infinity in
   let best_by = ref (List.hd strategies) in
   let seed_evaluations = ref 0 in
@@ -258,8 +211,7 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
       (fun i (s, leg) ->
         if i >= n_refiners || refiners.(i) <> s then
           invalid_arg "Portfolio.search: resume strategies mismatch";
-        legs.(i) <- Some leg;
-        leg_rngs.(i) <- Rng.of_state (leg_rng_state leg))
+        legs.(i) <- Some leg)
       c.legs;
     best := Array.copy c.best;
     best_cost := c.best_cost;
@@ -272,7 +224,7 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
     List.iteri (fun i (_, start) -> round_starts.(i) <- start) c.round_starts;
     List.iter (fun (_, r) -> publish incumbent r.Objective.cost) c.seeds;
     Array.iter
-      (function Some leg -> publish incumbent (leg_best_cost leg) | None -> ())
+      (function Some leg -> publish incumbent (Refiner.best_cost leg) | None -> ())
       legs
   | None ->
     seeds :=
@@ -303,9 +255,6 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
           publish incumbent cost;
           (s, result))
         seed_strategies;
-    for i = 0 to n_refiners - 1 do
-      leg_rngs.(i) <- Rng.split rng
-    done;
     (* The driver-side incumbent starts at the best seed (earliest
        listed wins ties); racers must end at or below it. *)
     List.iter
@@ -334,7 +283,7 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
   let total_evaluations () =
     Array.fold_left
       (fun acc leg ->
-        match leg with Some leg -> acc + leg_evaluations leg | None -> acc)
+        match leg with Some leg -> acc + Refiner.evaluations leg | None -> acc)
       (!seed_evaluations
       + List.fold_left
           (fun acc (_, (r : Objective.search_result)) ->
@@ -379,7 +328,7 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
     | Some _ | None -> ()
   in
   let finished i =
-    match legs.(i) with Some (Leg_done _) -> true | Some _ | None -> false
+    match legs.(i) with Some (Refiner.Done _) -> true | Some _ | None -> false
   in
   let all_done () =
     let rec go i = i >= n_refiners || (finished i && go (i + 1)) in
@@ -388,66 +337,25 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
   let target_reached () =
     match target with Some t -> !best_cost <= t | None -> false
   in
-  (* One slice of strategy [i] under a fixed rival ceiling: at most
-     [config.slice] further cost calls, interrupted through the sticky
-     [stop] contract so the flushed native checkpoint resumes
-     bit-identically.  Runs on a pool domain; every mutable input
-     (rng, objective, leg state) is owned by this strategy alone. *)
+  let racers =
+    Array.map
+      (function
+        | Sa -> Refiner.Sa config.sa
+        | Tabu -> Refiner.Tabu config.tabu
+        | Genetic -> Refiner.Genetic config.genetic
+        | Spiral | Greedy -> assert false)
+      refiners
+  in
+  (* One slice of strategy [i] under a fixed rival ceiling.  Runs on a
+     pool domain; every mutable input (rng, objective, leg state) is
+     owned by this strategy alone. *)
   let slice i ~budget ceiling =
-    let objective = Lazy.force objectives.(i) in
-    let n = ref 0 in
-    let budgeted = counted n objective in
-    let slice_stop () = stop () || !n >= budget in
     let next =
-      match refiners.(i) with
-      | Sa ->
-        let resume =
-          match legs.(i) with
-          | Some (Sa_running c) -> Some c
-          | None -> None
-          | Some _ -> assert false
-        in
-        let captured = ref None in
-        let r =
-          Annealing.search ~rng:leg_rngs.(i) ~config:config.sa ~tiles
-            ~objective:budgeted ?initial:warm_start ~ceiling ~stop:slice_stop
-            ~checkpoint:(max_int, fun c -> captured := Some c)
-            ?resume ~cores ()
-        in
-        (match !captured with Some c -> Sa_running c | None -> Leg_done r)
-      | Tabu ->
-        let resume =
-          match legs.(i) with
-          | Some (Tabu_running c) -> Some c
-          | None -> None
-          | Some _ -> assert false
-        in
-        let captured = ref None in
-        let r =
-          Tabu.search ~rng:leg_rngs.(i) ~config:config.tabu ~tiles
-            ~objective:budgeted ?initial:warm_start ~ceiling ~stop:slice_stop
-            ~checkpoint:(max_int, fun c -> captured := Some c)
-            ?resume ~cores ()
-        in
-        (match !captured with Some c -> Tabu_running c | None -> Leg_done r)
-      | Genetic ->
-        let resume =
-          match legs.(i) with
-          | Some (Genetic_running c) -> Some c
-          | None -> None
-          | Some _ -> assert false
-        in
-        let captured = ref None in
-        let r =
-          Genetic.search ~rng:leg_rngs.(i) ~config:config.genetic ~tiles
-            ~objective:budgeted ?initial:warm_start ~ceiling ~stop:slice_stop
-            ~checkpoint:(max_int, fun c -> captured := Some c)
-            ?resume ~cores ()
-        in
-        (match !captured with Some c -> Genetic_running c | None -> Leg_done r)
-      | Spiral | Greedy -> assert false
+      Refiner.slice racers.(i) ~rng:leg_rngs.(i) ~tiles
+        ~objective:(Lazy.force objectives.(i)) ?initial:warm_start ~ceiling
+        ~stop ~budget ~cores legs.(i)
     in
-    publish incumbent (leg_best_cost next);
+    publish incumbent (Refiner.best_cost next);
     next
   in
   while (not (all_done ())) && (not (stop ())) && not (target_reached ()) do
@@ -479,8 +387,8 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
               (fun j leg ->
                 match leg with
                 | Some leg when j <> i ->
-                  if leg_best_cost leg < !rival_best then
-                    rival_best := leg_best_cost leg
+                  if Refiner.best_cost leg < !rival_best then
+                    rival_best := Refiner.best_cost leg
                 | Some _ | None -> ())
               legs;
             if !rival_best < infinity then !rival_best *. config.ceiling_factor
@@ -495,7 +403,7 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
       Array.iter
         (fun i ->
           round_starts.(i) <-
-            (match legs.(i) with Some leg -> leg_evaluations leg | None -> 0))
+            (match legs.(i) with Some leg -> Refiner.evaluations leg | None -> 0))
         active;
       in_round := true
     end;
@@ -504,7 +412,7 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
         (fun k ->
           let i = active.(k) in
           let consumed =
-            match legs.(i) with Some leg -> leg_evaluations leg | None -> 0
+            match legs.(i) with Some leg -> Refiner.evaluations leg | None -> 0
           in
           let budget = max 0 (round_starts.(i) + config.slice - consumed) in
           slice i ~budget ceilings.(i))
@@ -522,9 +430,9 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
       && Array.exists
            (fun i ->
              match legs.(i) with
-             | Some (Leg_done _) -> false
+             | Some (Refiner.Done _) -> false
              | Some leg ->
-               leg_evaluations leg < round_starts.(i) + config.slice
+               Refiner.evaluations leg < round_starts.(i) + config.slice
              | None -> assert false)
            active
     in
@@ -547,10 +455,10 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
         (fun i leg ->
           match leg with
           | Some leg ->
-            if leg_best_cost leg < !round_best then begin
-              round_best := leg_best_cost leg;
+            if Refiner.best_cost leg < !round_best then begin
+              round_best := Refiner.best_cost leg;
               round_holder := refiners.(i);
-              round_placement := leg_best leg
+              round_placement := Refiner.best leg
             end
           | None -> ())
         legs;
@@ -595,7 +503,7 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
           in
           let cost, evaluations =
             match legs.(i) with
-            | Some leg -> (leg_best_cost leg, leg_evaluations leg)
+            | Some leg -> (Refiner.best_cost leg, Refiner.evaluations leg)
             | None -> (infinity, 0)
           in
           { strategy = s; cost; evaluations; rounds_won })

@@ -28,10 +28,9 @@
     is computed once per race rather than once per strategy.
 
     {b Checkpointing.}  The whole race checkpoints as one record: the
-    seeds, every racer's native live state ({!Annealing.checkpoint},
-    {!Tabu.checkpoint} or {!Genetic.checkpoint}) or final result, and
-    the driver's barrier bookkeeping.  A resumed race replays the exact
-    trajectory of the uninterrupted run. *)
+    seeds, every racer's {!Refiner.state} (its live checkpoint or final
+    result), and the driver's barrier bookkeeping.  A resumed race
+    replays the exact trajectory of the uninterrupted run. *)
 
 type strategy =
   | Spiral   (** Center-out spiral constructive seed (evaluated once). *)
@@ -69,13 +68,6 @@ val default_config : tiles:int -> config
 val quick_config : tiles:int -> config
 (** A cheaper budget for tests and smoke benches. *)
 
-type leg_state =
-  | Sa_running of Annealing.checkpoint
-  | Tabu_running of Tabu.checkpoint
-  | Genetic_running of Genetic.checkpoint
-  | Leg_done of Objective.search_result
-      (** The racer finished on its own (patience or budget). *)
-
 type checkpoint = {
   round : int;         (** Completed barrier rounds. *)
   in_round : bool;
@@ -84,7 +76,7 @@ type checkpoint = {
           completes the interrupted round to the same absolute
           evaluation barrier before any barrier bookkeeping. *)
   seeds : (strategy * Objective.search_result) list;
-  legs : (strategy * leg_state) list;
+  legs : (strategy * Refiner.state) list;
       (** Racers in the order [strategies] lists them. *)
   best : Placement.t;
   best_cost : float;

@@ -189,11 +189,13 @@ let run ?(jobs = 1) ?stop ?persist ?shared ?convergence r =
   let store = Option.map (fun p -> p.store) persist in
   let every = Option.map (fun p -> p.every) persist in
   let key suffix = match persist with Some p -> p.scope ^ "." ^ suffix | None -> suffix in
+  let refine ?initial suffix refiner =
+    Search_persist.refine ?store ~key:(key suffix) ?every ~rng refiner ~tiles
+      ~objective:(objective ()) ?initial ?stop ?convergence ~cores ()
+  in
   let local initial =
-    Search_persist.local_search ?store ~key:(key "local") ?every
-      ~objective:(objective ()) ~tiles ~initial
-      ?max_evaluations:(match r.budget with Quick -> Some 10_000 | Standard -> None)
-      ?stop ?convergence ()
+    refine ~initial "local"
+      (Refiner.Local (match r.budget with Quick -> 10_000 | Standard -> 100_000))
   in
   let result, details =
     match r.algorithm with
@@ -205,9 +207,7 @@ let run ?(jobs = 1) ?stop ?persist ?shared ?convergence r =
       let config =
         if r.incremental then { config with Annealing.prune = Some 20.0 } else config
       in
-      ( Search_persist.annealing ?store ~key:(key "sa") ?every ~rng ~config ~tiles
-          ~objective:(objective ()) ?stop ?convergence ~cores (),
-        Single )
+      (refine "sa" (Refiner.Sa config), Single)
     | Local -> (local (Placement.random rng ~cores ~tiles), Single)
     | Greedy_local ->
       (local (Greedy.search ~tech ~crg ~cwg ()).Objective.placement, Single)

@@ -223,24 +223,31 @@ let portfolio_config_json (c : Portfolio.config) =
       ("genetic", genetic_config_json c.Portfolio.genetic);
     ]
 
-let leg_json (leg : Portfolio.leg_state) =
-  let tag, value =
-    match leg with
-    | Portfolio.Sa_running c -> ("sa", sa_checkpoint_json c)
-    | Portfolio.Tabu_running c -> ("tabu", tabu_checkpoint_json c)
-    | Portfolio.Genetic_running c -> ("ga", genetic_checkpoint_json c)
-    | Portfolio.Leg_done r -> ("done", result_json r)
-  in
+(* One codec for every searcher's live state.  The tag doubles as a
+   single search's [algorithm] fingerprint: a journaled single search
+   records the bare value, racers and regions the tagged pair. *)
+let state_value = function
+  | Refiner.Sa_running c -> ("sa", sa_checkpoint_json c)
+  | Refiner.Tabu_running c -> ("tabu", tabu_checkpoint_json c)
+  | Refiner.Genetic_running c -> ("ga", genetic_checkpoint_json c)
+  | Refiner.Local_running c -> ("ls", ls_checkpoint_json c)
+  | Refiner.Done r -> ("done", result_json r)
+
+let state_of_value tag value =
+  match tag with
+  | "sa" -> Refiner.Sa_running (sa_checkpoint_of_json value)
+  | "tabu" -> Refiner.Tabu_running (tabu_checkpoint_of_json value)
+  | "ga" -> Refiner.Genetic_running (genetic_checkpoint_of_json value)
+  | "ls" -> Refiner.Local_running (ls_checkpoint_of_json value)
+  | "done" -> Refiner.Done (result_of_json value)
+  | tag -> failwith (Printf.sprintf "unknown refiner state %S" tag)
+
+let state_json state =
+  let tag, value = state_value state in
   Json.Assoc [ ("state", Json.Str tag); ("value", value) ]
 
-let leg_of_json j =
-  let value = Json.get "value" j in
-  match Json.to_str (Json.get "state" j) with
-  | "sa" -> Portfolio.Sa_running (sa_checkpoint_of_json value)
-  | "tabu" -> Portfolio.Tabu_running (tabu_checkpoint_of_json value)
-  | "ga" -> Portfolio.Genetic_running (genetic_checkpoint_of_json value)
-  | "done" -> Portfolio.Leg_done (result_of_json value)
-  | tag -> failwith (Printf.sprintf "unknown portfolio leg state %S" tag)
+let state_of_json j =
+  state_of_value (Json.to_str (Json.get "state" j)) (Json.get "value" j)
 
 let strategy_pairs_json value_json pairs =
   Json.List
@@ -262,7 +269,7 @@ let portfolio_checkpoint_json (c : Portfolio.checkpoint) =
       ("round", Json.Int c.Portfolio.round);
       ("in_round", Json.Bool c.Portfolio.in_round);
       ("seeds", strategy_pairs_json result_json c.Portfolio.seeds);
-      ("legs", strategy_pairs_json leg_json c.Portfolio.legs);
+      ("legs", strategy_pairs_json state_json c.Portfolio.legs);
       ("best", placement_json c.Portfolio.best);
       ("best_cost", Json.float_ c.Portfolio.best_cost);
       ("best_by", strategy_json c.Portfolio.best_by);
@@ -282,7 +289,7 @@ let portfolio_checkpoint_of_json j =
     Portfolio.round = Json.to_int (Json.get "round" j);
     in_round = Json.to_bool (Json.get "in_round" j);
     seeds = strategy_pairs_of_json result_of_json (Json.get "seeds" j);
-    legs = strategy_pairs_of_json leg_of_json (Json.get "legs" j);
+    legs = strategy_pairs_of_json state_of_json (Json.get "legs" j);
     best = placement_of_json (Json.get "best" j);
     best_cost = Json.to_float (Json.get "best_cost" j);
     best_by = strategy_of_json (Json.get "best_by" j);
@@ -422,78 +429,42 @@ let run_leg ?store ~key ~meta ~every ~encode ~decode ~encode_result
             Journal.append_exn journal (done_record (encode_result result));
           result)
 
-let annealing ?store ~key ?(every = default_every) ~rng ~config ~tiles
-    ~objective ?initial ?(stop = fun () -> false) ?convergence ~cores () =
-  let meta =
-    Json.Assoc
-      [
-        ("algorithm", Json.Str "sa");
-        ("objective", Json.Str objective.Objective.name);
-        (* The rng state on entry identifies the substream: resuming
-           with a different seed must be rejected, not blended in. *)
-        ("rng", Json.int64 (Rng.state rng));
-        ("tiles", Json.Int tiles);
-        ("cores", Json.Int cores);
-        ("config", sa_config_json config);
-        ( "initial",
-          match initial with
-          | None -> Json.Null
-          | Some p -> placement_json p );
-      ]
+(* A single search's header.  The rng state on entry identifies the
+   substream, so resuming with a different seed is rejected rather than
+   blended in; local search draws no randomness and records none. *)
+let refine_meta refiner ~objective ~rng ~tiles ~cores ~initial =
+  let algorithm, substream, budget =
+    let substream = [ ("rng", Json.int64 (Rng.state rng)) ] in
+    match refiner with
+    | Refiner.Sa c -> ("sa", substream, ("config", sa_config_json c))
+    | Refiner.Tabu c -> ("tabu", substream, ("config", tabu_config_json c))
+    | Refiner.Genetic c -> ("ga", substream, ("config", genetic_config_json c))
+    | Refiner.Local n -> ("ls", [], ("max_evaluations", Json.Int n))
   in
-  run_leg ?store ~key ~meta ~every ~encode:sa_checkpoint_json
-    ~decode:sa_checkpoint_of_json ~encode_result:result_json
-    ~decode_result:result_of_json ~stop
-    ~run:(fun ?checkpoint ?resume () ->
-      Annealing.search ~rng ~config ~tiles ~objective ?initial ~stop
-        ?convergence ?checkpoint ?resume ~cores ())
+  ( algorithm,
+    Json.Assoc
+      ([
+         ("algorithm", Json.Str algorithm);
+         ("objective", Json.Str objective.Objective.name);
+       ]
+      @ substream
+      @ [
+          ("tiles", Json.Int tiles);
+          ("cores", Json.Int cores);
+          budget;
+          ( "initial",
+            match initial with None -> Json.Null | Some p -> placement_json p );
+        ]) )
 
-let tabu ?store ~key ?(every = default_every) ~rng ~config ~tiles ~objective
+let refine ?store ~key ?(every = default_every) ~rng refiner ~tiles ~objective
     ?initial ?(stop = fun () -> false) ?convergence ~cores () =
-  let meta =
-    Json.Assoc
-      [
-        ("algorithm", Json.Str "tabu");
-        ("objective", Json.Str objective.Objective.name);
-        ("rng", Json.int64 (Rng.state rng));
-        ("tiles", Json.Int tiles);
-        ("cores", Json.Int cores);
-        ("config", tabu_config_json config);
-        ( "initial",
-          match initial with
-          | None -> Json.Null
-          | Some p -> placement_json p );
-      ]
-  in
-  run_leg ?store ~key ~meta ~every ~encode:tabu_checkpoint_json
-    ~decode:tabu_checkpoint_of_json ~encode_result:result_json
+  let algorithm, meta = refine_meta refiner ~objective ~rng ~tiles ~cores ~initial in
+  run_leg ?store ~key ~meta ~every
+    ~encode:(fun state -> snd (state_value state))
+    ~decode:(state_of_value algorithm) ~encode_result:result_json
     ~decode_result:result_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->
-      Tabu.search ~rng ~config ~tiles ~objective ?initial ~stop ?convergence
-        ?checkpoint ?resume ~cores ())
-
-let genetic ?store ~key ?(every = default_every) ~rng ~config ~tiles ~objective
-    ?initial ?(stop = fun () -> false) ?convergence ~cores () =
-  let meta =
-    Json.Assoc
-      [
-        ("algorithm", Json.Str "ga");
-        ("objective", Json.Str objective.Objective.name);
-        ("rng", Json.int64 (Rng.state rng));
-        ("tiles", Json.Int tiles);
-        ("cores", Json.Int cores);
-        ("config", genetic_config_json config);
-        ( "initial",
-          match initial with
-          | None -> Json.Null
-          | Some p -> placement_json p );
-      ]
-  in
-  run_leg ?store ~key ~meta ~every ~encode:genetic_checkpoint_json
-    ~decode:genetic_checkpoint_of_json ~encode_result:result_json
-    ~decode_result:result_of_json ~stop
-    ~run:(fun ?checkpoint ?resume () ->
-      Genetic.search ~rng ~config ~tiles ~objective ?initial ~stop ?convergence
+      Refiner.run refiner ~rng ~tiles ~objective ?initial ~stop ?convergence
         ?checkpoint ?resume ~cores ())
 
 let portfolio ?store ~key ?(every = default_every) ~rng ~config ~strategies
@@ -535,30 +506,11 @@ let decompose_config_json (c : Decompose.config) =
       ("polish", Json.Int c.Decompose.polish);
     ]
 
-let region_state_json = function
-  | Decompose.Sa_running c ->
-    Json.Assoc [ ("state", Json.Str "sa"); ("value", sa_checkpoint_json c) ]
-  | Decompose.Tabu_running c ->
-    Json.Assoc [ ("state", Json.Str "tabu"); ("value", tabu_checkpoint_json c) ]
-  | Decompose.Local_running c ->
-    Json.Assoc [ ("state", Json.Str "ls"); ("value", ls_checkpoint_json c) ]
-  | Decompose.Region_done r ->
-    Json.Assoc [ ("state", Json.Str "done"); ("value", result_json r) ]
-
-let region_state_of_json j =
-  let value = Json.get "value" j in
-  match Json.to_str (Json.get "state" j) with
-  | "sa" -> Decompose.Sa_running (sa_checkpoint_of_json value)
-  | "tabu" -> Decompose.Tabu_running (tabu_checkpoint_of_json value)
-  | "ls" -> Decompose.Local_running (ls_checkpoint_of_json value)
-  | "done" -> Decompose.Region_done (result_of_json value)
-  | other -> failwith ("unknown decompose region state: " ^ other)
-
 let decompose_checkpoint_json (c : Decompose.checkpoint) =
   Json.Assoc
     [
       ( "regions",
-        Json.List (List.map region_state_json c.Decompose.region_states) );
+        Json.List (List.map state_json c.Decompose.region_states) );
       ("seed", result_json c.Decompose.seed);
       ( "base",
         match c.Decompose.base with
@@ -573,7 +525,7 @@ let decompose_checkpoint_json (c : Decompose.checkpoint) =
 let decompose_checkpoint_of_json j =
   {
     Decompose.region_states =
-      List.map region_state_of_json (Json.to_list (Json.get "regions" j));
+      List.map state_of_json (Json.to_list (Json.get "regions" j));
     seed = result_of_json (Json.get "seed" j);
     base =
       (match Json.get "base" j with
@@ -671,24 +623,3 @@ let decompose ?store ~key ?(every = default_every) ~rng ~config ~crg ~cwg
     ~run:(fun ?checkpoint ?resume () ->
       Decompose.search ~rng ~config ~crg ~cwg ~objective_for
         ?region_objective_for ?pool ~stop ?checkpoint ?resume ())
-
-let local_search ?store ~key ?(every = default_every) ~objective ~tiles
-    ~initial ?(max_evaluations = 100_000) ?(stop = fun () -> false)
-    ?convergence () =
-  let meta =
-    Json.Assoc
-      [
-        ("algorithm", Json.Str "ls");
-        ("objective", Json.Str objective.Objective.name);
-        ("tiles", Json.Int tiles);
-        ("cores", Json.Int (Array.length initial));
-        ("max_evaluations", Json.Int max_evaluations);
-        ("initial", placement_json initial);
-      ]
-  in
-  run_leg ?store ~key ~meta ~every ~encode:ls_checkpoint_json
-    ~decode:ls_checkpoint_of_json ~encode_result:result_json
-    ~decode_result:result_of_json ~stop
-    ~run:(fun ?checkpoint ?resume () ->
-      Local_search.search ~objective ~tiles ~initial ~max_evaluations
-        ?convergence ~stop ?checkpoint ?resume ())

@@ -1,5 +1,7 @@
-(** Crash-safe wrappers around {!Annealing.search} and
-    {!Local_search.search}: each call owns one journal shard in a
+(** Crash-safe journaling for the searches: {!refine} wraps one
+    {!Refiner.run} (annealing, tabu, genetic or local search),
+    {!portfolio} one {!Portfolio.search} and {!decompose} one
+    {!Decompose.search}.  Each call owns one journal shard in a
     {!Nocmap_persist.Store} and is {e resumable} — run it again over
     the same store after a crash and it picks up from the last
     checkpoint, producing a result bit-identical to the uninterrupted
@@ -32,12 +34,12 @@ val default_every : int
 (** Checkpoint cadence in evaluations when [?every] is omitted
     (10,000 — well under 2% overhead on CDCM objectives). *)
 
-val annealing :
+val refine :
   ?store:Nocmap_persist.Store.t ->
   key:string ->
   ?every:int ->
   rng:Nocmap_util.Rng.t ->
-  config:Annealing.config ->
+  Refiner.t ->
   tiles:int ->
   objective:Objective.t ->
   ?initial:Placement.t ->
@@ -46,58 +48,13 @@ val annealing :
   cores:int ->
   unit ->
   Objective.search_result
-(** {!Annealing.search} under the journal protocol.  When [stop] cuts
-    the run short, no [done] record is written — the journal stays
-    resumable and the returned best-so-far is provisional.
+(** {!Refiner.run} under the journal protocol.  The fingerprint names
+    the searcher (["sa"], ["tabu"], ["ga"] or ["ls"]) with its config,
+    so a shard recorded by any other searcher is rejected; local search
+    records its budget and start placement instead of an rng word.
+    When [stop] cuts the run short, no [done] record is written — the
+    journal stays resumable and the returned best-so-far is provisional.
     @raise Failure on journal corruption or fingerprint mismatch. *)
-
-val local_search :
-  ?store:Nocmap_persist.Store.t ->
-  key:string ->
-  ?every:int ->
-  objective:Objective.t ->
-  tiles:int ->
-  initial:Placement.t ->
-  ?max_evaluations:int ->
-  ?stop:(unit -> bool) ->
-  ?convergence:Nocmap_obs.Series.t ->
-  unit ->
-  Objective.search_result
-(** {!Local_search.search} under the same protocol. *)
-
-val tabu :
-  ?store:Nocmap_persist.Store.t ->
-  key:string ->
-  ?every:int ->
-  rng:Nocmap_util.Rng.t ->
-  config:Tabu.config ->
-  tiles:int ->
-  objective:Objective.t ->
-  ?initial:Placement.t ->
-  ?stop:(unit -> bool) ->
-  ?convergence:Nocmap_obs.Series.t ->
-  cores:int ->
-  unit ->
-  Objective.search_result
-(** {!Tabu.search} under the same protocol (algorithm fingerprint
-    ["tabu"] — a shard recorded by any other algorithm is rejected). *)
-
-val genetic :
-  ?store:Nocmap_persist.Store.t ->
-  key:string ->
-  ?every:int ->
-  rng:Nocmap_util.Rng.t ->
-  config:Genetic.config ->
-  tiles:int ->
-  objective:Objective.t ->
-  ?initial:Placement.t ->
-  ?stop:(unit -> bool) ->
-  ?convergence:Nocmap_obs.Series.t ->
-  cores:int ->
-  unit ->
-  Objective.search_result
-(** {!Genetic.search} under the same protocol (algorithm fingerprint
-    ["ga"]). *)
 
 val portfolio :
   ?store:Nocmap_persist.Store.t ->
@@ -118,7 +75,7 @@ val portfolio :
   Portfolio.report
 (** {!Portfolio.search} under the same protocol, journaled as a single
     shard: each [progress] record is one consistent race snapshot
-    (every racer's native live state plus the driver's barrier
+    (every racer's {!Refiner.state} plus the driver's barrier
     bookkeeping), and the [done] record carries the full
     {!Portfolio.report}.  The fingerprint includes the strategy list
     and the per-strategy configs, so reopening the shard with a
@@ -143,7 +100,7 @@ val decompose :
   Decompose.report
 (** {!Decompose.search} under the same protocol, journaled as a single
     shard: each [progress] record is one consistent snapshot (every
-    region's native refiner state, the seed, and — once the regions
+    region's {!Refiner.state}, the seed, and — once the regions
     composed — the base result and the in-flight polish), and the
     [done] record carries the full {!Decompose.report}.  The partition
     and seed assignment are pure recomputations, so they are not

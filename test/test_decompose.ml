@@ -207,27 +207,42 @@ let prop_jobs_invariant =
 
 (* --- kill + resume --- *)
 
-let persisted ?stop ~store seed =
+let persisted ?refiner ?stop ~store seed =
   Mapping.Search_persist.decompose ~store ~key:"decompose" ~every:200
-    ~rng:(Rng.create ~seed) ~config:(config ()) ~crg ~cwg:(cwg seed)
+    ~rng:(Rng.create ~seed) ~config:(config ?refiner ()) ~crg ~cwg:(cwg seed)
     ~objective_name:"cwm" ~objective_for:(objective_for seed) ?stop ()
+
+let kill_resume ~refiner ~seed ~kill_at =
+  let reference = run ~refiner seed in
+  let store = Store.open_ ~dir:(temp_dir ()) in
+  ignore (persisted ~refiner ~store ~stop:(stop_after kill_at) seed);
+  let resumed = persisted ~refiner ~store seed in
+  let replayed = persisted ~refiner ~store seed in
+  check_report "resumed vs uninterrupted" reference resumed;
+  check_report "replayed vs uninterrupted" reference replayed
 
 let prop_kill_resume_bit_identical =
   QCheck2.Test.make
-    ~name:"decompose killed at any point resumes bit-identically"
+    ~name:"decompose killed at any point resumes bit-identically (every refiner)"
     ~count:(prop_count 8)
-    ~print:(fun (seed, kill_at) ->
-      Printf.sprintf "seed %d, kill %d" seed kill_at)
-    QCheck2.Gen.(pair (int_range 0 1000) (int_range 0 8_000))
-    (fun (seed, kill_at) ->
-      let reference = run seed in
-      let store = Store.open_ ~dir:(temp_dir ()) in
-      ignore (persisted ~store ~stop:(stop_after kill_at) seed);
-      let resumed = persisted ~store seed in
-      let replayed = persisted ~store seed in
-      check_report "resumed vs uninterrupted" reference resumed;
-      check_report "replayed vs uninterrupted" reference replayed;
+    ~print:(fun (seed, kill_at, r) ->
+      Printf.sprintf "seed %d, kill %d, %s" seed kill_at
+        (Mapping.Decompose.refiner_to_string r))
+    QCheck2.Gen.(
+      triple (int_range 0 1000) (int_range 0 8_000)
+        (oneofl
+           [ Mapping.Decompose.Sa; Mapping.Decompose.Tabu; Mapping.Decompose.Local ]))
+    (fun (seed, kill_at, refiner) ->
+      kill_resume ~refiner ~seed ~kill_at;
       true)
+
+(* Local regions take a few passes each, so a random kill point rarely
+   lands inside the pass that proves a region's local optimum; walk
+   every early one instead. *)
+let test_local_kill_resume_every_point () =
+  for kill_at = 0 to 60 do
+    kill_resume ~refiner:Mapping.Decompose.Local ~seed:0 ~kill_at
+  done
 
 (* --- fingerprints pin the configuration --- *)
 
@@ -292,6 +307,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_beats_seed;
       QCheck_alcotest.to_alcotest prop_jobs_invariant;
       QCheck_alcotest.to_alcotest prop_kill_resume_bit_identical;
+      Alcotest.test_case "local refiner resumes from every kill point 0-60"
+        `Quick test_local_kill_resume_every_point;
       Alcotest.test_case "persist rejects config mismatch" `Quick
         test_persist_rejects_config_mismatch;
       Alcotest.test_case "refiner strings" `Quick test_refiner_strings;

@@ -308,32 +308,6 @@ let prop_faulty_cdcm_invariant_3d =
 
 (* --- incremental evaluators on stacked meshes --- *)
 
-let test_cwm_incremental_3d () =
-  let crg = Crg.create mesh332 in
-  let tiles = Mesh.tile_count mesh332 in
-  let rng = Rng.create ~seed:11 in
-  let spec =
-    Generator.default_spec ~name:"inc3d" ~cores:7 ~packets:30 ~total_bits:9_000
-  in
-  let cdcg = Generator.generate (Rng.split rng) spec in
-  let cwg = Cwg.of_cdcg cdcg in
-  let tech = Technology.t013 in
-  let placement = Mapping.Placement.random (Rng.split rng) ~cores:7 ~tiles in
-  let inc = Mapping.Cost_cwm_incremental.create ~tech ~crg ~cwg ~placement in
-  for _ = 1 to 200 do
-    let core = Rng.int rng 7 in
-    let tile = Rng.int rng tiles in
-    let before = Mapping.Cost_cwm_incremental.cost inc in
-    let delta = Mapping.Cost_cwm_incremental.move_delta inc ~core ~tile in
-    Mapping.Cost_cwm_incremental.apply_move inc ~core ~tile;
-    let current = Mapping.Cost_cwm_incremental.placement inc in
-    let full = Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg current in
-    Alcotest.(check (float 1e-18)) "incremental total = full recompute" full
-      (Mapping.Cost_cwm_incremental.cost inc);
-    Alcotest.(check (float 1e-18)) "delta consistent" (before +. delta)
-      (Mapping.Cost_cwm_incremental.cost inc)
-  done
-
 let test_cdcm_incremental_3d () =
   (* The incremental CDCM objective must agree bitwise with the plain
      one on a stacked mesh — this exercises the TSV-major ebit table. *)
@@ -457,8 +431,6 @@ let suite =
         test_candidates_are_automorphisms_3d;
       Alcotest.test_case "hop-exactness tracks TSV counts" `Quick
         test_hop_exactness_is_tsv_aware;
-      Alcotest.test_case "CWM incremental on a stacked mesh" `Quick
-        test_cwm_incremental_3d;
       Alcotest.test_case "CDCM incremental on a stacked mesh" `Quick
         test_cdcm_incremental_3d;
       Alcotest.test_case "per-layer fault scenarios" `Quick test_fault_layers;

@@ -207,9 +207,9 @@ let tabu_reference seed =
     ~tiles:4 ~objective:(fresh_objective ()) ~cores:4 ()
 
 let tabu_persisted ~store ?stop seed =
-  Mapping.Search_persist.tabu ~store ~key:"tabu" ~every:100
+  Mapping.Search_persist.refine ~store ~key:"tabu" ~every:100
     ~rng:(Rng.create ~seed)
-    ~config:(Mapping.Tabu.quick_config ~tiles:4)
+    (Mapping.Refiner.Tabu (Mapping.Tabu.quick_config ~tiles:4))
     ~tiles:4 ~objective:(fresh_objective ()) ?stop ~cores:4 ()
 
 let prop_tabu_kill_resume_bit_identical =
@@ -232,9 +232,9 @@ let genetic_reference seed =
     ~tiles:4 ~objective:(fresh_objective ()) ~cores:4 ()
 
 let genetic_persisted ~store ?stop seed =
-  Mapping.Search_persist.genetic ~store ~key:"ga" ~every:100
+  Mapping.Search_persist.refine ~store ~key:"ga" ~every:100
     ~rng:(Rng.create ~seed)
-    ~config:(Mapping.Genetic.quick_config ~tiles:4)
+    (Mapping.Refiner.Genetic (Mapping.Genetic.quick_config ~tiles:4))
     ~tiles:4 ~objective:(fresh_objective ()) ?stop ~cores:4 ()
 
 let prop_genetic_kill_resume_bit_identical =
@@ -306,9 +306,9 @@ let test_persist_rejects_cross_algorithm_shard () =
   Alcotest.(check bool)
     "tabu shard refused by genetic" true
     (match
-       Mapping.Search_persist.genetic ~store ~key:"tabu" ~every:100
+       Mapping.Search_persist.refine ~store ~key:"tabu" ~every:100
          ~rng:(Rng.create ~seed:3)
-         ~config:(Mapping.Genetic.quick_config ~tiles:4)
+         (Mapping.Refiner.Genetic (Mapping.Genetic.quick_config ~tiles:4))
          ~tiles:4 ~objective:(fresh_objective ()) ~cores:4 ()
      with
     | exception Failure _ -> true
