@@ -20,9 +20,13 @@ test:
 	dune runtest
 
 # Deep property soak: every QCheck property runs with its iteration
-# count multiplied by NOCMAP_PROP_MULT (default 20x here).
+# count multiplied by NOCMAP_PROP_MULT (default 20x here).  `dune
+# runtest` pins QCHECK_SEED (test/dune); the soak instead replays
+# QCHECK_SEED from the environment when it is set, and otherwise draws
+# a fresh seed and prints it first ("qcheck random seed: N"), so every
+# run explores new cases and a failure can be replayed from its log.
 test-props:
-	NOCMAP_PROP_MULT=$${NOCMAP_PROP_MULT:-20} dune runtest --force
+	NOCMAP_PROP_MULT=$${NOCMAP_PROP_MULT:-20} dune exec test/test_main.exe
 
 # Full reproduction harness: every figure/table plus BENCH_nocmap.json.
 bench:

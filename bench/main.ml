@@ -565,13 +565,11 @@ let bench_json () =
     done;
     !best
   in
-  (* Swap-move candidate stream for the incremental-evaluation gate:
-     random non-noop moves around the anchor [pick 0], exactly the
-     proposals a descent bounds against its best cost.  The same
-     (core, tile) pairs are materialized as full placements so the
-     arena+cutoff simulator can be timed on the identical stream. *)
+  (* Swap-move candidate stream: random non-noop moves around the
+     anchor [pick 0], exactly the proposals a descent bounds against its
+     best cost, materialized as full placements for the arena+cutoff
+     simulator. *)
   let n_moves = 256 in
-  let move_pairs = Array.make n_moves (0, 0) in
   let move_candidates = Array.make n_moves [||] in
   (let anchor = pick 0 in
    let occupant = Array.make tiles (-1) in
@@ -583,17 +581,11 @@ let bench_json () =
      while !tile = anchor.(core) do
        tile := Rng.int move_rng tiles
      done;
-     move_pairs.(m) <- (core, !tile);
      let cand = Array.copy anchor in
      cand.(core) <- !tile;
      if occupant.(!tile) >= 0 then cand.(occupant.(!tile)) <- anchor.(core);
      move_candidates.(m) <- cand
    done);
-  let pick_move i = move_pairs.(i mod n_moves) in
-  let cdcm_inc_move =
-    Mapping.Cost_cdcm_incremental.create ~tech ~params ~crg ~cdcg
-      ~placement:(pick 0) ()
-  in
   let cdcm_inc =
     Mapping.Cost_cdcm_incremental.create ~tech ~params ~crg ~cdcg
       ~placement:(pick 0) ()
@@ -638,15 +630,6 @@ let bench_json () =
             ignore
               (Mapping.Cost_cdcm.evaluate_bound ~scratch ~tech ~params ~crg ~cdcg
                  ~cutoff:incumbent move_candidates.(i mod n_moves))));
-      (* incremental: the identical move stream through the delta
-         evaluator — exact dynamic re-sum plus the analytic cone bound
-         reject most candidates without entering the simulator *)
-      (fun () ->
-        ops_per_sec (fun i ->
-            let core, tile = pick_move i in
-            ignore
-              (Mapping.Cost_cdcm_incremental.move_bound cdcm_inc_move ~core ~tile
-                 ~cutoff:incumbent)));
       (* anchor-oblivious robustness: arbitrary-placement candidates
          through [bound_for], where every query diffs against a drifting
          anchor and the affected cone is essentially the whole graph *)
@@ -678,8 +661,7 @@ let bench_json () =
   let cdcm_arena_metrics_ops = best 3 in
   let cdcm_cutoff_ops = best 4 in
   let cdcm_cutoff_move_ops = best 5 in
-  let cdcm_inc_move_ops = best 6 in
-  let cdcm_inc_bound_ops = best 7 in
+  let cdcm_inc_bound_ops = best 6 in
   let arena_speedup = median_ratio 2 0 in
   let cutoff_speedup = median_ratio 4 0 in
   (* The tentpole ratio: bounding candidates against the incumbent
@@ -688,15 +670,13 @@ let bench_json () =
      pruning regime the evaluator serves — most candidates sit well
      above the best known cost, and the analytic bound rejects them
      without entering the simulator. *)
-  let incremental_speedup = median_ratio 7 4 in
-  let hit_percent evaluator =
-    let s = Mapping.Cost_cdcm_incremental.stats evaluator in
+  let incremental_speedup = median_ratio 6 4 in
+  let inc_delta_hit_percent =
+    let s = Mapping.Cost_cdcm_incremental.stats cdcm_inc in
     100.0
     *. float_of_int s.Mapping.Cost_cdcm_incremental.delta_hits
     /. float_of_int (max 1 s.Mapping.Cost_cdcm_incremental.queries)
   in
-  let inc_delta_hit_percent = hit_percent cdcm_inc in
-  let inc_move_delta_hit_percent = hit_percent cdcm_inc_move in
   (* Local search must be trajectory-identical with and without the
      incremental evaluator: its bound threshold is an exact accept test,
      and the analytic bound only rejects candidates the plain objective
@@ -1024,10 +1004,8 @@ let bench_json () =
   "cdcm_eval_arena_metrics_ops_per_sec": %.1f,
   "cdcm_eval_arena_cutoff_ops_per_sec": %.1f,
   "cdcm_eval_arena_cutoff_move_ops_per_sec": %.1f,
-  "cdcm_incremental_move_ops_per_sec": %.1f,
   "cdcm_incremental_bound_ops_per_sec": %.1f,
   "cdcm_incremental_delta_hit_percent": %.1f,
-  "cdcm_incremental_move_delta_hit_percent": %.1f,
   "cdcm_arena_speedup": %.2f,
   "cdcm_arena_cutoff_speedup": %.2f,
   "cdcm_incremental_speedup": %.2f,
@@ -1067,8 +1045,7 @@ let bench_json () =
          | Experiment.Thorough -> "thorough")
       cwm_ops cdcm_baseline_ops cdcm_fresh_ops cdcm_arena_ops
       cdcm_arena_metrics_ops cdcm_cutoff_ops cdcm_cutoff_move_ops
-      cdcm_inc_move_ops cdcm_inc_bound_ops
-      inc_delta_hit_percent inc_move_delta_hit_percent arena_speedup cutoff_speedup
+      cdcm_inc_bound_ops inc_delta_hit_percent arena_speedup cutoff_speedup
       incremental_speedup ls_identical metrics_overhead sa_hit_rate
       (sa_plain_seconds /. Float.max sa_cached_seconds 1e-9)
       sa_identical checkpoint_overhead checkpoint_identical
@@ -1483,10 +1460,8 @@ let run_compare ~baseline_path ~current_path ~tolerance_percent =
       "cdcm_eval_arena_ops_per_sec"; "cdcm_eval_arena_metrics_ops_per_sec";
       "cdcm_eval_arena_cutoff_ops_per_sec";
       "cdcm_eval_arena_cutoff_move_ops_per_sec";
-      "cdcm_incremental_move_ops_per_sec";
       "cdcm_incremental_bound_ops_per_sec";
-      "cdcm_incremental_delta_hit_percent";
-      "cdcm_incremental_move_delta_hit_percent"; "suite_parallel_speedup";
+      "cdcm_incremental_delta_hit_percent"; "suite_parallel_speedup";
       "cache_sa_speedup"; "noc3d_2d_etr_percent"; "noc3d_2d_ecs_high_percent";
       "noc3d_3d_etr_percent"; "noc3d_3d_ecs_high_percent";
     ];

@@ -15,6 +15,7 @@ type verdict = {
 }
 
 let certify ~rng ?sa_config ?(restarts = 3) ~mesh ~objective ~cores ~app () =
+  if restarts < 1 then invalid_arg "Es_vs_sa.certify: restarts must be >= 1";
   let tiles = Mesh.tile_count mesh in
   let sa_config =
     match sa_config with
@@ -22,35 +23,33 @@ let certify ~rng ?sa_config ?(restarts = 3) ~mesh ~objective ~cores ~app () =
     | None -> Mapping.Annealing.default_config ~tiles
   in
   let es = Mapping.Exhaustive.search ~objective ~cores ~tiles () in
-  let rec best_sa i best evals =
+  let anneal () =
+    Mapping.Annealing.search ~rng:(Rng.split rng) ~config:sa_config ~tiles
+      ~objective ~cores ()
+  in
+  let rec best_sa i (best : Mapping.Objective.search_result) evals =
     if i >= restarts then (best, evals)
     else begin
-      let r =
-        Mapping.Annealing.search ~rng:(Rng.split rng) ~config:sa_config ~tiles
-          ~objective ~cores ()
-      in
+      let r = anneal () in
       let evals = evals + r.Mapping.Objective.evaluations in
-      match best with
-      | Some (b : Mapping.Objective.search_result)
-        when b.Mapping.Objective.cost <= r.Mapping.Objective.cost ->
+      if best.Mapping.Objective.cost <= r.Mapping.Objective.cost then
         best_sa (i + 1) best evals
-      | Some _ | None -> best_sa (i + 1) (Some r) evals
+      else best_sa (i + 1) r evals
     end
   in
-  match best_sa 0 None 0 with
-  | None, _ -> assert false
-  | Some sa, sa_evaluations ->
-    {
-      app;
-      mesh;
-      objective_name = objective.Mapping.Objective.name;
-      es_cost = es.Mapping.Objective.cost;
-      sa_cost = sa.Mapping.Objective.cost;
-      sa_reached_optimum =
-        sa.Mapping.Objective.cost <= es.Mapping.Objective.cost *. (1.0 +. 1e-9);
-      es_evaluations = es.Mapping.Objective.evaluations;
-      sa_evaluations;
-    }
+  let first = anneal () in
+  let sa, sa_evaluations = best_sa 1 first first.Mapping.Objective.evaluations in
+  {
+    app;
+    mesh;
+    objective_name = objective.Mapping.Objective.name;
+    es_cost = es.Mapping.Objective.cost;
+    sa_cost = sa.Mapping.Objective.cost;
+    sa_reached_optimum =
+      sa.Mapping.Objective.cost <= es.Mapping.Objective.cost *. (1.0 +. 1e-9);
+    es_evaluations = es.Mapping.Objective.evaluations;
+    sa_evaluations;
+  }
 
 let render verdicts =
   let table =

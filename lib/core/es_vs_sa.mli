@@ -28,7 +28,8 @@ val certify :
   verdict
 (** Runs exhaustive search and [restarts] (default 3) annealing
     descents.
-    @raise Invalid_argument when the instance is too large for
-    exhaustive search (see {!Nocmap_mapping.Exhaustive.search}). *)
+    @raise Invalid_argument when [restarts < 1], or when the instance is
+    too large for exhaustive search (see
+    {!Nocmap_mapping.Exhaustive.search}). *)
 
 val render : verdict list -> string

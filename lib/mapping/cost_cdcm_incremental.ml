@@ -41,12 +41,9 @@ type t = {
   cores : int;
   tiles : int;
   npackets : int;
-  retry_cycles : int;        (* futile-retry span of a severed packet *)
   (* Static per-packet structure. *)
   src_ : int array;
   dst_ : int array;
-  bits_ : int array;
-  flits_ : int array;
   comp_ : int array;
   (* Hot-path tables: per-packet floats/constants hoisted out of the
      overlay loop.  [ebit_tab.(r)] is {!Equations.ebit_path} for [r]
@@ -62,7 +59,7 @@ type t = {
   ebit_stride : int;              (* 0 on a planar mesh *)
   occ_ : int array;               (* port occupancy, tr + flits*tl *)
   lat_base_ : int array;          (* compute + tl*flits *)
-  sev_lat_ : int array;           (* compute + retry_cycles *)
+  sev_lat_ : int array;           (* compute + futile-retry span *)
   rtr_tl : int;                   (* tr + tl *)
   (* Dependences as CSR adjacency plus a topological packet order. *)
   pred_off : int array;
@@ -76,7 +73,6 @@ type t = {
   (* Reference ("anchor") state: placement and the derived per-packet
      lower-bound model of the simulation under it. *)
   current : int array;
-  occupant : int array;           (* tile -> core or -1 *)
   energy : float array;           (* Equation (4) term; 0 when severed *)
   lat : int array;                (* launch-to-resolution latency bound *)
   severed : bool array;
@@ -88,9 +84,7 @@ type t = {
                                      per grant, of non-dropped traffic *)
   link_min : int array;           (* earliest launch among a link's packets *)
   mutable ref_tmax_i : int;       (* argmax of [complete] *)
-  mutable dynamic : float;
   mutable last_eval : Cost_cdcm.evaluation option;
-  mutable last_peek : (int array * Cost_cdcm.evaluation) option;
   (* Epoch-stamped candidate overlay: route-level (r_stamp) and
      propagated (p_stamp) per-packet state, plus the recompute worklist
      (q_stamp) — all O(1) to invalidate between queries. *)
@@ -111,41 +105,26 @@ type t = {
   mutable touched_n : int;
   link_scratch : int array;
   link_min_scratch : int array;
-  cand_buf : int array;
   moved_buf : int array;
-  mutable vepoch : int;
-  u_stamp : int array;            (* tile-uniqueness check scratch *)
   mutable n_queries : int;
   mutable n_delta_hits : int;
   mutable n_bound_rejections : int;
   mutable n_full_sim_fallbacks : int;
 }
 
-let validate t p =
-  if Array.length p <> t.cores then
+let validate ~cores ~tiles p =
+  if Array.length p <> cores then
     invalid_arg
       "Cost_cdcm_incremental: placement length differs from core count";
-  t.vepoch <- t.vepoch + 1;
-  Array.iter
-    (fun tile ->
-      if tile < 0 || tile >= t.tiles then
-        invalid_arg "Cost_cdcm_incremental: placement tile out of range";
-      if t.u_stamp.(tile) = t.vepoch then
-        invalid_arg "Cost_cdcm_incremental: placement is not injective";
-      t.u_stamp.(tile) <- t.vepoch)
-    p
-
-let check_move t ~core ~tile =
-  if core < 0 || core >= t.cores then
-    invalid_arg "Cost_cdcm_incremental: core out of range";
-  if tile < 0 || tile >= t.tiles then
-    invalid_arg "Cost_cdcm_incremental: tile out of range"
+  match Placement.validate ~tiles p with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Cost_cdcm_incremental: " ^ msg)
 
 (* Rebuild the whole reference model from [t.current]:
 
-   - per-packet route state (energy, severed, latency bound), summed
-     into [dynamic] in packet order so the value is bit-identical to
-     {!Cost_cdcm.dynamic_energy} (a severed packet adds [0.]);
+   - per-packet route state (energy, severed, latency bound), each
+     energy computed exactly as {!Cost_cdcm.dynamic_energy} computes its
+     term (a severed packet contributes [0.]);
    - drop flags and resolution-time lower bounds propagated in
      topological order.  Drops mirror the simulator exactly — they are
      timing-independent: a severed packet is dropped [compute +
@@ -159,7 +138,6 @@ let check_move t ~core ~tile =
      packet's launch (so [link_min] keeps the earliest launch among the
      link's packets; dropped packets never enter the network). *)
 let refresh t =
-  let dyn = ref 0.0 in
   for i = 0 to t.npackets - 1 do
     let path =
       Crg.path t.crg ~src:t.current.(t.src_.(i)) ~dst:t.current.(t.dst_.(i))
@@ -184,10 +162,8 @@ let refresh t =
       in
       t.energy.(i) <- t.bitsf_.(i) *. e;
       t.lat.(i) <- t.lat_base_.(i) + (routers * t.rtr_tl)
-    end;
-    dyn := !dyn +. t.energy.(i)
+    end
   done;
-  t.dynamic <- !dyn;
   let mx = ref min_int and mxi = ref 0 in
   for k = 0 to t.npackets - 1 do
     let i = t.order.(k) in
@@ -228,19 +204,13 @@ let refresh t =
   done
 
 let create ?fault_policy ~tech ~params ~crg ~cdcg ~placement () =
-  (match Placement.validate ~tiles:(Crg.tile_count crg) placement with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Cost_cdcm_incremental.create: " ^ msg));
-  let cores = Cdcg.core_count cdcg in
-  if Array.length placement <> cores then
-    invalid_arg
-      "Cost_cdcm_incremental.create: placement length differs from core count";
+  let cores = Cdcg.core_count cdcg and tiles = Crg.tile_count crg in
+  validate ~cores ~tiles placement;
   let fault_policy =
     match fault_policy with
     | Some p -> p
     | None -> Wormhole.default_fault_policy
   in
-  let tiles = Crg.tile_count crg in
   let npackets = Cdcg.packet_count cdcg in
   let src_ = Array.make npackets 0
   and dst_ = Array.make npackets 0
@@ -329,8 +299,6 @@ let create ?fault_policy ~tech ~params ~crg ~cdcg ~placement () =
     core_pk.(core_fill.(dst_.(i))) <- i;
     core_fill.(dst_.(i)) <- core_fill.(dst_.(i)) + 1
   done;
-  let occupant = Array.make tiles (-1) in
-  Array.iteri (fun core tile -> occupant.(tile) <- core) placement;
   let slots = Link.slot_count (Crg.mesh crg) in
   let retry_cycles =
     fault_policy.Wormhole.max_retries * fault_policy.Wormhole.retry_backoff
@@ -350,11 +318,8 @@ let create ?fault_policy ~tech ~params ~crg ~cdcg ~placement () =
       cores;
       tiles;
       npackets;
-      retry_cycles;
       src_;
       dst_;
-      bits_;
-      flits_;
       comp_;
       bitsf_ = Array.map float_of_int bits_;
       ebit_tab;
@@ -371,7 +336,6 @@ let create ?fault_policy ~tech ~params ~crg ~cdcg ~placement () =
       core_off;
       core_pk;
       current = Array.copy placement;
-      occupant;
       energy = Array.make npackets 0.0;
       lat = Array.make npackets 0;
       severed = Array.make npackets false;
@@ -382,9 +346,7 @@ let create ?fault_policy ~tech ~params ~crg ~cdcg ~placement () =
       link_load = Array.make slots 0;
       link_min = Array.make slots max_int;
       ref_tmax_i = 0;
-      dynamic = 0.0;
       last_eval = None;
-      last_peek = None;
       epoch = 0;
       r_stamp = Array.make npackets 0;
       c_energy = Array.make npackets 0.0;
@@ -402,10 +364,7 @@ let create ?fault_policy ~tech ~params ~crg ~cdcg ~placement () =
       touched_n = 0;
       link_scratch = Array.make slots 0;
       link_min_scratch = Array.make slots 0;
-      cand_buf = Array.make cores 0;
       moved_buf = Array.make cores 0;
-      vepoch = 0;
-      u_stamp = Array.make tiles (-1);
       n_queries = 0;
       n_delta_hits = 0;
       n_bound_rejections = 0;
@@ -414,25 +373,6 @@ let create ?fault_policy ~tech ~params ~crg ~cdcg ~placement () =
   in
   refresh t;
   t
-
-let placement t = Array.copy t.current
-
-let rebuild_occupant t =
-  Array.fill t.occupant 0 t.tiles (-1);
-  Array.iteri (fun core tile -> t.occupant.(tile) <- core) t.current
-
-let evaluation t =
-  match t.last_eval with
-  | Some ev -> ev
-  | None ->
-    let ev =
-      Cost_cdcm.evaluate ~scratch:t.scratch ~fault_policy:t.fault_policy
-        ~tech:t.tech ~params:t.params ~crg:t.crg ~cdcg:t.cdcg t.current
-    in
-    t.last_eval <- Some ev;
-    ev
-
-let cost t = (evaluation t).Cost_cdcm.total
 
 (* Candidate queries run in up to three stages against the anchor,
    cheapest first, so a rejection pays only for the machinery it needs.
@@ -499,7 +439,7 @@ let overlay_dynamic t ~cand ~moved_n =
    sound lower bound — completion of any single packet under
    zero-contention delays never exceeds the simulated texec).  The cone
    records are left incomplete in that case, which is fine: a rejection
-   never reaches stage 3 or the overlay-adoption rebase. *)
+   never reaches stage 3 or the overlay adoption. *)
 let cone_tmax t ~cut =
   let e = t.epoch in
   t.queued_n <- 0;
@@ -630,22 +570,14 @@ let memo_hit t ev =
   Metrics.incr m_delta_hits;
   Cost_cdcm.Exact ev
 
-let rebase_to t cand ev =
-  Array.blit cand 0 t.current 0 t.cores;
-  rebuild_occupant t;
-  refresh t;
-  t.last_eval <- Some ev;
-  t.last_peek <- None
-
 (* Re-anchor at a candidate whose overlay is fully populated (all three
    query stages ran): adopt the overlay values instead of rebuilding
    the model with [refresh].  The adopted values are exactly what
    [refresh] would recompute — packets outside the cone are unaffected
-   by the diff, the overlay dynamic sum visits the same floats in the
-   same order, and [link_scratch] holds the candidate's exact port
+   by the diff, and [link_scratch] holds the candidate's exact port
    demand — except [link_min], whose differential form may keep stale
    (weaker-only) minima; it is the one piece rebuilt exactly. *)
-let adopt_overlay t ~cand ~cand_dynamic ev =
+let adopt_overlay t ~cand ev =
   let e = t.epoch in
   for m = 0 to t.queued_n - 1 do
     let i = t.queued.(m) in
@@ -660,8 +592,6 @@ let adopt_overlay t ~cand ~cand_dynamic ev =
     t.sent.(i) <- t.c_sent.(i)
   done;
   Array.blit cand 0 t.current 0 t.cores;
-  rebuild_occupant t;
-  t.dynamic <- cand_dynamic;
   Array.blit t.link_scratch 0 t.link_load 0 (Array.length t.link_load);
   Array.fill t.link_min 0 (Array.length t.link_min) max_int;
   let mx = ref min_int and mxi = ref 0 in
@@ -678,10 +608,9 @@ let adopt_overlay t ~cand ~cand_dynamic ev =
     end
   done;
   t.ref_tmax_i <- !mxi;
-  t.last_eval <- Some ev;
-  t.last_peek <- None
+  t.last_eval <- Some ev
 
-let bound_of_candidate t ~cutoff ~cand ~moved_n ~rebase =
+let bound_of_candidate t ~cutoff ~cand ~moved_n =
   t.n_queries <- t.n_queries + 1;
   let reject lb =
     t.n_delta_hits <- t.n_delta_hits + 1;
@@ -735,8 +664,7 @@ let bound_of_candidate t ~cutoff ~cand ~moved_n ~rebase =
             ~crg:t.crg ~cdcg:t.cdcg ~cutoff cand
         with
         | Cost_cdcm.Exact ev as b ->
-          if rebase then adopt_overlay t ~cand ~cand_dynamic ev
-          else t.last_peek <- Some (Array.copy cand, ev);
+          adopt_overlay t ~cand ev;
           b
         | Cost_cdcm.At_least _ as b -> b
       end
@@ -744,7 +672,7 @@ let bound_of_candidate t ~cutoff ~cand ~moved_n ~rebase =
   end
 
 let bound_for t ~cutoff p =
-  validate t p;
+  validate ~cores:t.cores ~tiles:t.tiles p;
   let moved_n = ref 0 in
   for c = 0 to t.cores - 1 do
     if p.(c) <> t.current.(c) then begin
@@ -754,94 +682,24 @@ let bound_for t ~cutoff p =
   done;
   match t.last_eval with
   | Some ev when !moved_n = 0 -> memo_hit t ev
-  | _ -> bound_of_candidate t ~cutoff ~cand:p ~moved_n:!moved_n ~rebase:true
-
-(* Fill [cand_buf]/[moved_buf] with the single move [core -> tile]
-   (swapping with the occupant when taken); returns the moved count. *)
-let stage_move t ~core ~tile =
-  Array.blit t.current 0 t.cand_buf 0 t.cores;
-  let from_tile = t.current.(core) in
-  if tile = from_tile then 0
-  else begin
-    t.cand_buf.(core) <- tile;
-    t.moved_buf.(0) <- core;
-    let other = t.occupant.(tile) in
-    if other >= 0 then begin
-      t.cand_buf.(other) <- from_tile;
-      t.moved_buf.(1) <- other;
-      2
-    end
-    else 1
-  end
-
-let move_bound t ~core ~tile ~cutoff =
-  check_move t ~core ~tile;
-  let moved_n = stage_move t ~core ~tile in
-  match t.last_eval with
-  | Some ev when moved_n = 0 -> memo_hit t ev
-  | _ ->
-    bound_of_candidate t ~cutoff ~cand:t.cand_buf ~moved_n ~rebase:false
-
-let move_delta t ~core ~tile =
-  check_move t ~core ~tile;
-  if tile = t.current.(core) then 0.0
-  else begin
-    let base = cost t in
-    ignore (stage_move t ~core ~tile);
-    let ev =
-      Cost_cdcm.evaluate ~scratch:t.scratch ~fault_policy:t.fault_policy
-        ~tech:t.tech ~params:t.params ~crg:t.crg ~cdcg:t.cdcg t.cand_buf
-    in
-    t.last_peek <- Some (Array.copy t.cand_buf, ev);
-    ev.Cost_cdcm.total -. base
-  end
-
-let swap_delta t ~core_a ~core_b =
-  if core_a < 0 || core_a >= t.cores || core_b < 0 || core_b >= t.cores then
-    invalid_arg "Cost_cdcm_incremental: core out of range";
-  if core_a = core_b then 0.0
-  else move_delta t ~core:core_a ~tile:t.current.(core_b)
-
-let apply_move t ~core ~tile =
-  check_move t ~core ~tile;
-  let from_tile = t.current.(core) in
-  if tile <> from_tile then begin
-    let other = t.occupant.(tile) in
-    if other >= 0 then begin
-      t.current.(other) <- from_tile;
-      t.occupant.(from_tile) <- other
-    end
-    else t.occupant.(from_tile) <- -1;
-    t.current.(core) <- tile;
-    t.occupant.(tile) <- core;
-    refresh t;
-    t.last_eval <-
-      (match t.last_peek with
-      | Some (p, ev) when p = t.current -> Some ev
-      | Some _ | None -> None);
-    t.last_peek <- None
-  end
+  | _ -> bound_of_candidate t ~cutoff ~cand:p ~moved_n:!moved_n
 
 let evaluate_for t p =
-  validate t p;
-  let same = ref true in
-  for c = 0 to t.cores - 1 do
-    if p.(c) <> t.current.(c) then same := false
-  done;
-  if !same then evaluation t
-  else begin
-    match t.last_peek with
-    | Some (q, ev) when q = p ->
-      rebase_to t p ev;
-      ev
-    | _ ->
-      Array.blit p 0 t.current 0 t.cores;
-      rebuild_occupant t;
-      refresh t;
-      t.last_eval <- None;
-      t.last_peek <- None;
-      evaluation t
-  end
+  validate ~cores:t.cores ~tiles:t.tiles p;
+  if not (Array.for_all2 Int.equal p t.current) then begin
+    Array.blit p 0 t.current 0 t.cores;
+    refresh t;
+    t.last_eval <- None
+  end;
+  match t.last_eval with
+  | Some ev -> ev
+  | None ->
+    let ev =
+      Cost_cdcm.evaluate ~scratch:t.scratch ~fault_policy:t.fault_policy
+        ~tech:t.tech ~params:t.params ~crg:t.crg ~cdcg:t.cdcg t.current
+    in
+    t.last_eval <- Some ev;
+    ev
 
 let stats t =
   {

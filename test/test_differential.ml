@@ -145,27 +145,38 @@ let prop_local_search_prune_lossless =
 (* --- Incremental CDCM vs fresh evaluation --- *)
 
 module Fault = Nocmap_noc.Fault
+module Routing = Nocmap_noc.Routing
 module Cost_cdcm = Mapping.Cost_cdcm
 module Inc = Mapping.Cost_cdcm_incremental
 
-(* Like [gen_scenario], but half the scenarios run on a CRG with a
-   failed link, exercising the severed/cascade-drop accounting of the
-   incremental evaluator. *)
+(* Like [gen_scenario], but over one- and two-layer meshes under all
+   four routings (torus only when both planar sides are at least 3), and
+   half the scenarios run on a CRG with a failed link, exercising the
+   TSV-priced energy table and the severed/cascade-drop accounting of
+   the incremental evaluator. *)
 let gen_cdcm_scenario =
   QCheck2.Gen.(
     let* seed = int_range 0 1_000_000 in
     let* cols = int_range 2 4 in
     let* rows = int_range 2 3 in
+    let* layers = int_range 1 2 in
+    let* routing =
+      oneofl
+        (if cols >= 3 && rows >= 3 then
+           Routing.[ Xy; Yx; Torus_xy; Torus_yx ]
+         else Routing.[ Xy; Yx ])
+    in
     let* faulty = bool in
-    let mesh = Mesh.create ~cols ~rows in
+    let mesh = Mesh.create3 ~cols ~rows ~layers in
     let tiles = Mesh.tile_count mesh in
     let rng = Rng.create ~seed in
     let crg =
+      let wrap = Routing.uses_wrap_links routing in
       if faulty then
-        match Fault.sample_link_scenarios ~rng ~k:1 ~count:1 mesh with
-        | [ faults ] -> Crg.create ~faults mesh
-        | _ -> Crg.create mesh
-      else Crg.create mesh
+        match Fault.sample_link_scenarios ~wrap ~rng ~k:1 ~count:1 mesh with
+        | [ faults ] -> Crg.create ~routing ~faults mesh
+        | _ -> Crg.create ~routing mesh
+      else Crg.create ~routing mesh
     in
     let* cores = int_range 2 (min 7 tiles) in
     let* packets = int_range 1 30 in
@@ -178,10 +189,16 @@ let gen_cdcm_scenario =
     return (crg, cdcg, placement, seed))
 
 let prop_cdcm_incremental_matches_fresh =
-  (* A random walk of single-move bound queries: every [Exact] verdict
-     is bit-identical to a fresh evaluation, every [At_least] stays at
-     or below the true cost, and after each accepted move the memoized
-     cost equals a fresh evaluation of the new anchor. *)
+  (* A random walk of [bound_for] queries, the only query a search
+     makes: single moves, swaps and fresh re-placements of the anchor,
+     each under an infinite cutoff, the anchor's own cost (a descent's
+     budget), a tight one just below the candidate's true cost or a
+     loose one well below it.  Every [Exact] verdict is bit-identical to
+     a fresh evaluation and re-anchors there (a re-query of the new
+     anchor under a zero budget is a memo hit); every [At_least] lies in
+     [cutoff, true cost]; and every verdict equals the one an evaluator
+     freshly created at the walk's anchor gives, so re-anchoring leaves
+     no stale state behind. *)
   QCheck2.Test.make
     ~name:"incremental CDCM walk agrees with fresh evaluation"
     ~count:(Test_util.prop_count 15) gen_cdcm_scenario
@@ -190,32 +207,42 @@ let prop_cdcm_incremental_matches_fresh =
       let tiles = Crg.tile_count crg in
       let cores = Cdcg.core_count cdcg in
       let fresh p = Cost_cdcm.evaluate ~tech ~params ~crg ~cdcg p in
+      let create placement = Inc.create ~tech ~params ~crg ~cdcg ~placement () in
       let rng = Rng.create ~seed:(seed + 7) in
-      let inc = Inc.create ~tech ~params ~crg ~cdcg ~placement () in
+      let inc = create placement in
+      let anchor = ref placement and anchor_cost = ref (fresh placement).Cost_cdcm.total in
       let ok = ref true in
       for _ = 1 to 25 do
-        let core = Rng.int rng cores and tile = Rng.int rng tiles in
-        let cur = Inc.placement inc in
-        let cand = Array.copy cur in
-        cand.(core) <- tile;
-        Array.iteri
-          (fun c t -> if c <> core && t = tile then cand.(c) <- cur.(core))
-          cur;
+        let cand =
+          match Rng.int rng 3 with
+          | 0 ->
+            Mapping.Placement.move_to_tile !anchor ~core:(Rng.int rng cores)
+              ~tile:(Rng.int rng tiles)
+          | 1 ->
+            Mapping.Placement.swap_cores !anchor (Rng.int rng cores)
+              (Rng.int rng cores)
+          | _ -> Mapping.Placement.random rng ~cores ~tiles
+        in
         let truth = fresh cand in
         let cutoff =
-          match Rng.int rng 3 with
+          match Rng.int rng 4 with
           | 0 -> infinity
-          | 1 -> Inc.cost inc
-          | _ -> truth.Cost_cdcm.total *. 0.9
+          | 1 -> !anchor_cost
+          | 2 -> truth.Cost_cdcm.total *. 0.99
+          | _ -> truth.Cost_cdcm.total *. 0.8
         in
-        (match Inc.move_bound inc ~core ~tile ~cutoff with
-        | Cost_cdcm.Exact ev -> ok := !ok && ev = truth
+        let verdict = Inc.bound_for inc ~cutoff cand in
+        if cand <> !anchor then
+          ok := !ok && verdict = Inc.bound_for (create !anchor) ~cutoff cand;
+        match verdict with
+        | Cost_cdcm.Exact ev ->
+          ok :=
+            !ok && ev = truth
+            && Inc.bound_for inc ~cutoff:0.0 cand = Cost_cdcm.Exact truth;
+          anchor := cand;
+          anchor_cost := truth.Cost_cdcm.total
         | Cost_cdcm.At_least lb ->
-          ok := !ok && lb <= truth.Cost_cdcm.total && lb >= cutoff);
-        if Rng.int rng 5 < 3 then begin
-          Inc.apply_move inc ~core ~tile;
-          ok := !ok && Inc.cost inc = truth.Cost_cdcm.total
-        end
+          ok := !ok && lb <= truth.Cost_cdcm.total && lb >= cutoff
       done;
       let s = Inc.stats inc in
       !ok && s.Inc.queries = s.Inc.delta_hits + s.Inc.full_sim_fallbacks)

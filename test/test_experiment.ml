@@ -171,7 +171,49 @@ let test_es_vs_sa_on_fig1 () =
     verdict.Nocmap.Es_vs_sa.sa_reached_optimum;
   Alcotest.(check int) "ES enumerated 24" 24 verdict.Nocmap.Es_vs_sa.es_evaluations;
   let rendered = Nocmap.Es_vs_sa.render [ verdict ] in
-  Test_util.check_contains ~msg:"verdict" ~needle:"yes" rendered
+  Test_util.check_contains ~msg:"verdict" ~needle:"yes" rendered;
+  Alcotest.check_raises "no restarts rejected"
+    (Invalid_argument "Es_vs_sa.certify: restarts must be >= 1") (fun () ->
+      ignore
+        (Nocmap.Es_vs_sa.certify ~rng:(Rng.create ~seed:8) ~restarts:0
+           ~mesh:(Mesh.create ~cols:2 ~rows:2)
+           ~objective ~cores:4 ~app:"fig1" ()))
+
+(* Golden Table 2 oracle: a digest of every number a Table 2 row is
+   built from (ETR, both ECS values, the four CDCM evaluation totals in
+   hex and both evaluation counts) on one planar and one stacked
+   instance at the quick budget.  Any change to the searches, the
+   objectives or the simulator that moves a Table 2 number fails here. *)
+let test_table2_golden () =
+  let instances =
+    [
+      ( Mesh.create ~cols:3 ~rows:2,
+        Generator.default_spec ~name:"golden-3x2" ~cores:6 ~packets:24
+          ~total_bits:6_000 );
+      ( Mesh.create3 ~cols:2 ~rows:2 ~layers:2,
+        Generator.default_spec ~name:"golden-2x2x2" ~cores:7 ~packets:28
+          ~total_bits:8_000 );
+    ]
+  in
+  let digest =
+    List.mapi
+      (fun i (mesh, spec) ->
+        let cdcg = Generator.generate (Rng.create ~seed:(90 + i)) spec in
+        let o =
+          Experiment.compare_models ~rng:(Rng.create ~seed:(90 + i))
+            ~config:Experiment.quick_config ~mesh cdcg
+        in
+        let total (ev : Mapping.Cost_cdcm.evaluation) = ev.Mapping.Cost_cdcm.total in
+        Printf.sprintf "%h %h %h %h %h %h %h %d %d" o.Experiment.etr_percent
+          o.Experiment.ecs_low_percent o.Experiment.ecs_high_percent
+          (total o.Experiment.cwm_low) (total o.Experiment.cwm_high)
+          (total o.Experiment.cdcm_low) (total o.Experiment.cdcm_high)
+          o.Experiment.cwm_evaluations o.Experiment.cdcm_evaluations)
+      instances
+    |> String.concat "\n" |> Digest.string |> Digest.to_hex
+  in
+  Alcotest.(check string) "Table 2 outcomes" "6c62c554af6a0a0c25bc3211f753c6f5"
+    digest
 
 let suite =
   ( "experiment",
@@ -189,4 +231,5 @@ let suite =
       Alcotest.test_case "robustness" `Quick test_robustness;
       Alcotest.test_case "cpu time measurement" `Quick test_cpu_time_measurement;
       Alcotest.test_case "es vs sa on fig1" `Quick test_es_vs_sa_on_fig1;
+      Alcotest.test_case "table2 golden outcomes" `Quick test_table2_golden;
     ] )

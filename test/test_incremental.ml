@@ -30,73 +30,87 @@ let cdcm_setup ~seed =
 let fresh ~crg ~cdcg p =
   Cost_cdcm.evaluate ~tech:tech7 ~params ~crg ~cdcg p
 
-(* The single-move candidate [core -> tile] with swap semantics. *)
-let moved p ~core ~tile =
-  let cand = Array.copy p in
-  let from_tile = p.(core) in
-  cand.(core) <- tile;
-  Array.iteri (fun c t -> if c <> core && t = tile then cand.(c) <- from_tile) p;
-  cand
+let total (ev : Cost_cdcm.evaluation) = ev.Cost_cdcm.total
+
+(* [Exact] verdict of a query the evaluator must not reject, failing the
+   test otherwise. *)
+let exact_of = function
+  | Cost_cdcm.Exact ev -> ev
+  | Cost_cdcm.At_least _ -> Alcotest.fail "rejected a candidate it must accept"
+
+(* Whether [p] is the evaluator's anchor: only a memo hit answers a
+   zero budget with an [Exact] verdict. *)
+let anchored_at inc p =
+  match Inc.bound_for inc ~cutoff:0.0 p with
+  | Cost_cdcm.Exact _ -> true
+  | Cost_cdcm.At_least _ -> false
 
 let test_cdcm_initial_cost () =
   let crg, cdcg, placement, _ = cdcm_setup ~seed:3 in
   let inc = Inc.create ~tech:tech7 ~params ~crg ~cdcg ~placement () in
+  let truth = fresh ~crg ~cdcg placement in
   Alcotest.(check bool) "bit-identical to fresh evaluation" true
-    (Inc.cost inc = (fresh ~crg ~cdcg placement).Cost_cdcm.total)
+    (exact_of (Inc.bound_for inc ~cutoff:infinity placement) = truth);
+  Alcotest.(check bool) "memoized at the anchor" true
+    (Inc.evaluate_for inc placement = truth && anchored_at inc placement)
+
+(* A [bound_for] walk: [steps] candidates drawn by [next] from the
+   current anchor, each queried under every budget [cutoffs] derives
+   from its true evaluation (the verdict must be exact and bit-identical,
+   or a lower bound between the budget and the true cost), then under an
+   infinite budget, which must accept it bit-identically and re-anchor
+   there. *)
+let walk ~seed ~steps ~next ~cutoffs =
+  let crg, cdcg, placement, rng = cdcm_setup ~seed in
+  let inc = Inc.create ~tech:tech7 ~params ~crg ~cdcg ~placement () in
+  let current = ref placement in
+  for _ = 1 to steps do
+    let cand = next rng !current in
+    let truth = fresh ~crg ~cdcg cand in
+    List.iter
+      (fun cutoff ->
+        match Inc.bound_for inc ~cutoff cand with
+        | Cost_cdcm.Exact ev ->
+          Alcotest.(check bool) "exact verdict matches" true (ev = truth)
+        | Cost_cdcm.At_least lb ->
+          Alcotest.(check bool) "lower bound below true cost" true
+            (lb <= total truth);
+          Alcotest.(check bool) "lower bound reaches the cutoff" true
+            (lb >= cutoff))
+      (cutoffs truth);
+    Alcotest.(check bool) "exact under infinite cutoff" true
+      (exact_of (Inc.bound_for inc ~cutoff:infinity cand) = truth);
+    Alcotest.(check bool) "re-anchored at the candidate" true
+      (anchored_at inc cand);
+    current := cand
+  done
+
+let single_move rng p =
+  Mapping.Placement.move_to_tile p ~core:(Rng.int rng 7) ~tile:(Rng.int rng 9)
 
 let test_cdcm_walk_consistency () =
-  let crg, cdcg, placement, rng = cdcm_setup ~seed:5 in
-  let inc = Inc.create ~tech:tech7 ~params ~crg ~cdcg ~placement () in
-  for _ = 1 to 40 do
-    let core = Rng.int rng 7 and tile = Rng.int rng 9 in
-    let before = Inc.cost inc in
-    let delta = Inc.move_delta inc ~core ~tile in
-    Inc.apply_move inc ~core ~tile;
-    let current = Inc.placement inc in
-    Alcotest.(check bool) "placement stays valid" true
-      (Mapping.Placement.is_valid ~tiles:9 current);
-    let truth = (fresh ~crg ~cdcg current).Cost_cdcm.total in
-    Alcotest.(check bool) "cost bit-identical to fresh evaluation" true
-      (Inc.cost inc = truth);
-    Alcotest.(check (float 1e-22)) "delta consistent" truth (before +. delta)
-  done
+  walk ~seed:5 ~steps:40 ~next:single_move ~cutoffs:(fun _ -> [])
 
-let test_cdcm_move_bound () =
-  let crg, cdcg, placement, rng = cdcm_setup ~seed:11 in
-  let inc = Inc.create ~tech:tech7 ~params ~crg ~cdcg ~placement () in
-  for _ = 1 to 60 do
-    let core = Rng.int rng 7 and tile = Rng.int rng 9 in
-    let truth = fresh ~crg ~cdcg (moved (Inc.placement inc) ~core ~tile) in
-    (* An infinite budget can never reject: the answer is the exact,
-       bit-identical evaluation. *)
-    (match Inc.move_bound inc ~core ~tile ~cutoff:infinity with
-    | Cost_cdcm.Exact ev ->
-      Alcotest.(check bool) "exact under infinite cutoff" true (ev = truth)
-    | Cost_cdcm.At_least _ -> Alcotest.fail "rejected under infinite cutoff");
-    (* A tight budget must answer soundly either way. *)
-    let cutoff = truth.Cost_cdcm.total *. 0.95 in
-    match Inc.move_bound inc ~core ~tile ~cutoff with
-    | Cost_cdcm.Exact ev ->
-      Alcotest.(check bool) "exact verdict matches" true (ev = truth)
-    | Cost_cdcm.At_least lb ->
-      Alcotest.(check bool) "lower bound below true cost" true
-        (lb <= truth.Cost_cdcm.total);
-      Alcotest.(check bool) "lower bound reaches the cutoff" true (lb >= cutoff)
-  done
+let test_cdcm_move_verdicts () =
+  walk ~seed:11 ~steps:60 ~next:single_move ~cutoffs:(fun truth ->
+      [ total truth *. 0.95 ])
 
 let test_cdcm_noop_and_stats () =
   let crg, cdcg, placement, _ = cdcm_setup ~seed:13 in
   let inc = Inc.create ~tech:tech7 ~params ~crg ~cdcg ~placement () in
-  let c0 = Inc.cost inc in
-  Alcotest.(check (float 1e-22)) "no-op move is free" 0.0
-    (Inc.move_delta inc ~core:2 ~tile:placement.(2));
+  let c0 = total (Inc.evaluate_for inc placement) in
   (* A no-op bound query is a memo hit, not a simulation. *)
-  (match Inc.move_bound inc ~core:2 ~tile:placement.(2) ~cutoff:infinity with
+  (match Inc.bound_for inc ~cutoff:infinity placement with
   | Cost_cdcm.Exact ev ->
-    Alcotest.(check bool) "memoized exact" true (ev.Cost_cdcm.total = c0)
+    Alcotest.(check bool) "memoized exact" true (total ev = c0)
   | Cost_cdcm.At_least _ -> Alcotest.fail "no-op rejected");
+  let s = Inc.stats inc in
+  Alcotest.(check (list int)) "one query, answered as a hit" [ 1; 1; 0 ]
+    [ s.Inc.queries; s.Inc.delta_hits; s.Inc.full_sim_fallbacks ];
   for tile = 0 to 8 do
-    ignore (Inc.move_bound inc ~core:4 ~tile ~cutoff:(c0 *. 0.9))
+    ignore
+      (Inc.bound_for inc ~cutoff:(c0 *. 0.9)
+         (Mapping.Placement.move_to_tile placement ~core:4 ~tile))
   done;
   let s = Inc.stats inc in
   Alcotest.(check int) "every query is a hit or a fallback" s.Inc.queries
@@ -104,23 +118,9 @@ let test_cdcm_noop_and_stats () =
   Alcotest.(check bool) "rejections are hits" true
     (s.Inc.bound_rejections <= s.Inc.delta_hits)
 
-let test_cdcm_swap_delta () =
-  let crg, cdcg, placement, rng = cdcm_setup ~seed:19 in
-  let inc = Inc.create ~tech:tech7 ~params ~crg ~cdcg ~placement () in
-  Alcotest.(check (float 1e-22)) "self swap is free" 0.0
-    (Inc.swap_delta inc ~core_a:5 ~core_b:5);
-  for _ = 1 to 25 do
-    let a = Rng.int rng 7 and b = Rng.int rng 7 in
-    let before = Inc.cost inc in
-    let delta = Inc.swap_delta inc ~core_a:a ~core_b:b in
-    let swapped = Inc.placement inc in
-    let ta = swapped.(a) in
-    swapped.(a) <- swapped.(b);
-    swapped.(b) <- ta;
-    let truth = (fresh ~crg ~cdcg swapped).Cost_cdcm.total in
-    Alcotest.(check (float 1e-22)) "swap delta matches full recompute" truth
-      (before +. delta)
-  done
+let test_cdcm_swap_costs () =
+  walk ~seed:19 ~steps:25 ~cutoffs:(fun _ -> []) ~next:(fun rng p ->
+      Mapping.Placement.swap_cores p (Rng.int rng 7) (Rng.int rng 7))
 
 let test_cdcm_evaluate_for () =
   let crg, cdcg, placement, rng = cdcm_setup ~seed:23 in
@@ -131,7 +131,7 @@ let test_cdcm_evaluate_for () =
     Alcotest.(check bool) "bit-identical to fresh evaluation" true
       (ev = fresh ~crg ~cdcg p);
     Alcotest.(check bool) "re-anchored at the candidate" true
-      (Inc.placement inc = p)
+      (anchored_at inc p)
   done
 
 (* Tile 12 of a 3x3x2 mesh loses its in-plane links from 13 and 15, so
@@ -157,7 +157,7 @@ let test_cdcm_faulted_3d_detour () =
   placement.(Fig1.core_b) <- 12;
   let inc = Inc.create ~tech:tech7 ~params ~crg ~cdcg:Fig1.cdcg ~placement () in
   Alcotest.(check bool) "bit-identical to fresh evaluation" true
-    (Inc.cost inc = (fresh ~crg ~cdcg:Fig1.cdcg placement).Cost_cdcm.total)
+    (Inc.evaluate_for inc placement = fresh ~crg ~cdcg:Fig1.cdcg placement)
 
 let test_cdcm_invalid_inputs () =
   let crg, cdcg, placement, _ = cdcm_setup ~seed:29 in
@@ -171,10 +171,14 @@ let test_cdcm_invalid_inputs () =
          Inc.create ~tech:tech7 ~params ~crg ~cdcg
            ~placement:(Array.make 7 0) ()));
   let inc = Inc.create ~tech:tech7 ~params ~crg ~cdcg ~placement () in
-  Alcotest.(check bool) "core out of range" true
-    (rejects (fun () -> Inc.move_delta inc ~core:7 ~tile:0));
+  let with_tile tile = Mapping.Placement.move_to_tile placement ~core:0 ~tile in
   Alcotest.(check bool) "tile out of range" true
-    (rejects (fun () -> Inc.move_bound inc ~core:0 ~tile:9 ~cutoff:infinity));
+    (rejects (fun () -> Inc.bound_for inc ~cutoff:infinity (with_tile 9)));
+  Alcotest.(check bool) "not injective" true
+    (rejects (fun () ->
+         let p = Array.copy placement in
+         p.(0) <- p.(1);
+         Inc.evaluate_for inc p));
   Alcotest.(check bool) "bad candidate length" true
     (rejects (fun () -> Inc.bound_for inc ~cutoff:infinity [| 0; 1 |]))
 
@@ -184,10 +188,10 @@ let suite =
       Alcotest.test_case "initial cost" `Quick test_cdcm_initial_cost;
       Alcotest.test_case "walk matches fresh evaluation" `Quick
         test_cdcm_walk_consistency;
-      Alcotest.test_case "move bound verdicts" `Quick test_cdcm_move_bound;
+      Alcotest.test_case "move bound verdicts" `Quick test_cdcm_move_verdicts;
       Alcotest.test_case "no-op and stats invariant" `Quick
         test_cdcm_noop_and_stats;
-      Alcotest.test_case "swap delta" `Quick test_cdcm_swap_delta;
+      Alcotest.test_case "swaps match fresh evaluation" `Quick test_cdcm_swap_costs;
       Alcotest.test_case "evaluate_for re-anchors" `Quick test_cdcm_evaluate_for;
       Alcotest.test_case "faulted 3-D detour" `Quick test_cdcm_faulted_3d_detour;
       Alcotest.test_case "invalid inputs" `Quick test_cdcm_invalid_inputs;

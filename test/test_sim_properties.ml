@@ -36,6 +36,15 @@ let gen_scenario =
 let run (mesh, cdcg, placement) =
   Wormhole.run ~params ~crg:(Crg.create mesh) ~placement cdcg
 
+(* Equation (8): a packet's contention-free send-to-delivery latency. *)
+let closed_form_delay ~crg cdcg placement (pt : Trace.packet_trace) =
+  let p = cdcg.Cdcg.packets.(pt.Trace.packet) in
+  let routers =
+    Crg.router_count_on_path crg ~src:placement.(p.Cdcg.src)
+      ~dst:placement.(p.Cdcg.dst)
+  in
+  Noc_params.total_delay_cycles params ~routers ~flits:pt.Trace.flits
+
 let prop_texec_is_max_delivery =
   QCheck2.Test.make ~name:"texec equals the latest delivery" ~count:150 gen_scenario
     (fun scenario ->
@@ -62,15 +71,8 @@ let prop_delivery_at_least_closed_form =
       let crg = Crg.create mesh in
       Array.for_all
         (fun (pt : Trace.packet_trace) ->
-          let p = cdcg.Cdcg.packets.(pt.Trace.packet) in
-          let routers =
-            Crg.router_count_on_path crg ~src:placement.(p.Cdcg.src)
-              ~dst:placement.(p.Cdcg.dst)
-          in
-          let bound =
-            Noc_params.total_delay_cycles params ~routers ~flits:pt.Trace.flits
-          in
-          pt.Trace.delivered >= pt.Trace.sent + bound)
+          pt.Trace.delivered
+          >= pt.Trace.sent + closed_form_delay ~crg cdcg placement pt)
         t.Trace.packets)
 
 let prop_no_contention_matches_closed_form =
@@ -80,16 +82,9 @@ let prop_no_contention_matches_closed_form =
       let crg = Crg.create mesh in
       Array.for_all
         (fun (pt : Trace.packet_trace) ->
-          let waited = Trace.wait_cycles pt > 0 in
-          let p = cdcg.Cdcg.packets.(pt.Trace.packet) in
-          let routers =
-            Crg.router_count_on_path crg ~src:placement.(p.Cdcg.src)
-              ~dst:placement.(p.Cdcg.dst)
-          in
-          let bound =
-            Noc_params.total_delay_cycles params ~routers ~flits:pt.Trace.flits
-          in
-          waited || pt.Trace.delivered = pt.Trace.sent + bound)
+          Trace.wait_cycles pt > 0
+          || pt.Trace.delivered
+             = pt.Trace.sent + closed_form_delay ~crg cdcg placement pt)
         t.Trace.packets)
 
 let prop_link_service_exclusive =
@@ -114,16 +109,42 @@ let prop_trace_flag_same_result =
       a.Trace.texec_cycles = b.Trace.texec_cycles
       && a.Trace.contention_cycles = b.Trace.contention_cycles)
 
-let prop_bounded_never_faster =
-  QCheck2.Test.make ~name:"bounded buffers never beat unbounded" ~count:80 gen_scenario
+(* Bounded buffering defers the release of a port whose packet is longer
+   than the downstream buffer.  That does not make every run slower:
+   first-come-first-served port arbitration is not monotone, so holding
+   one port longer can reorder two packets' arrivals at a later port and
+   serve a packet on the critical path earlier (about 0.2 % of these
+   scenarios finish earlier with 4-flit buffers).  The two properties
+   below are what the model does guarantee. *)
+let bounded capacity =
+  Noc_params.make ~flit_bits:8 ~buffering:(Noc_params.Bounded capacity) ()
+
+let prop_bounded_fitting_equals_unbounded =
+  QCheck2.Test.make ~name:"bounded buffers equal unbounded when every packet fits"
+    ~count:(Test_util.prop_count 80) gen_scenario
     (fun (mesh, cdcg, placement) ->
       let crg = Crg.create mesh in
-      let unbounded = Wormhole.run ~trace:false ~params ~crg ~placement cdcg in
-      let bounded_params =
-        Noc_params.make ~flit_bits:8 ~buffering:(Noc_params.Bounded 4) ()
+      let longest =
+        Array.fold_left
+          (fun acc (p : Cdcg.packet) ->
+            max acc (Noc_params.flits_of_bits params p.Cdcg.bits))
+          1 cdcg.Cdcg.packets
       in
-      match Wormhole.run ~trace:false ~params:bounded_params ~crg ~placement cdcg with
-      | bounded -> bounded.Trace.texec_cycles >= unbounded.Trace.texec_cycles
+      Wormhole.run ~params:(bounded longest) ~crg ~placement cdcg
+      = Wormhole.run ~params ~crg ~placement cdcg)
+
+let prop_bounded_delivery_at_least_closed_form =
+  QCheck2.Test.make ~name:"bounded delivery >= send + eq.(8) delay"
+    ~count:(Test_util.prop_count 80) gen_scenario
+    (fun (mesh, cdcg, placement) ->
+      let crg = Crg.create mesh in
+      match Wormhole.run ~params:(bounded 4) ~crg ~placement cdcg with
+      | t ->
+        Array.for_all
+          (fun (pt : Trace.packet_trace) ->
+            pt.Trace.delivered
+            >= pt.Trace.sent + closed_form_delay ~crg cdcg placement pt)
+          t.Trace.packets
       | exception Wormhole.Deadlock _ -> true)
 
 let prop_deterministic =
@@ -270,7 +291,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_no_contention_matches_closed_form;
       QCheck_alcotest.to_alcotest prop_link_service_exclusive;
       QCheck_alcotest.to_alcotest prop_trace_flag_same_result;
-      QCheck_alcotest.to_alcotest prop_bounded_never_faster;
+      QCheck_alcotest.to_alcotest prop_bounded_fitting_equals_unbounded;
+      QCheck_alcotest.to_alcotest prop_bounded_delivery_at_least_closed_form;
       QCheck_alcotest.to_alcotest prop_deterministic;
       QCheck_alcotest.to_alcotest prop_scratch_identical;
       QCheck_alcotest.to_alcotest prop_cutoff_sound;
