@@ -79,15 +79,18 @@ scale-smoke:
 # Crash-safety smoke: start a checkpointed table2, kill it mid-run with
 # SIGINT, resume from the journal, and require the resumed table to be
 # byte-identical to an uninterrupted run; then the same for a parallel
-# CDCM portfolio `map` and a parallel CDCM decompose `map` whose regions
-# run local search (the only path that journals a local-search region
-# state).  Robust at either extreme: a machine fast enough to finish
-# before the kill exercises the replay path, one killed before the
-# first checkpoint exercises the fresh path.
+# CDCM portfolio `map`, a fault campaign (two restarts journaling on
+# the pool at once, then one memo shard per scenario) and a parallel
+# CDCM decompose `map` whose regions run local search (the only path
+# that journals a local-search region state).  Robust at either
+# extreme: a machine fast enough to finish before the kill exercises
+# the replay path, one killed before the first checkpoint exercises the
+# fresh path.
 NOCMAP_CLI := ./_build/default/bin/nocmap_cli.exe
 SMOKE_DIR := _build/resume-smoke
 SMOKE_MAP := map --noc 5x4 --app $(SMOKE_DIR)/app.cdcg --model cdcm \
 	--algorithm portfolio --jobs 2
+SMOKE_FAULTS := faults --app $(SMOKE_DIR)/app.cdcg --noc 5x4 --seed 5
 SMOKE_DECOMPOSE := map --noc 8x8 --app $(SMOKE_DIR)/app60.cdcg --model cdcm \
 	--algorithm decompose --refiner local --jobs 2
 resume-smoke:
@@ -105,6 +108,12 @@ resume-smoke:
 		--checkpoint-dir $(SMOKE_DIR)/map-ckpt >/dev/null 2>&1
 	$(NOCMAP_CLI) resume $(SMOKE_DIR)/map-ckpt > $(SMOKE_DIR)/map-resumed.txt 2>/dev/null
 	cmp $(SMOKE_DIR)/map-reference.txt $(SMOKE_DIR)/map-resumed.txt
+	$(NOCMAP_CLI) $(SMOKE_FAULTS) > $(SMOKE_DIR)/faults-reference.txt 2>/dev/null
+	-timeout --signal=INT --kill-after=60 2 $(NOCMAP_CLI) $(SMOKE_FAULTS) \
+		--checkpoint-dir $(SMOKE_DIR)/faults-ckpt >/dev/null 2>&1
+	$(NOCMAP_CLI) resume $(SMOKE_DIR)/faults-ckpt \
+		> $(SMOKE_DIR)/faults-resumed.txt 2>/dev/null
+	cmp $(SMOKE_DIR)/faults-reference.txt $(SMOKE_DIR)/faults-resumed.txt
 	$(NOCMAP_CLI) gen --cores 60 --packets 4000 --bits 2000000 --seed 7 \
 		-o $(SMOKE_DIR)/app60.cdcg >/dev/null
 	$(NOCMAP_CLI) $(SMOKE_DECOMPOSE) > $(SMOKE_DIR)/decompose-reference.txt 2>/dev/null
@@ -113,7 +122,7 @@ resume-smoke:
 	$(NOCMAP_CLI) resume $(SMOKE_DIR)/decompose-ckpt \
 		> $(SMOKE_DIR)/decompose-resumed.txt 2>/dev/null
 	cmp $(SMOKE_DIR)/decompose-reference.txt $(SMOKE_DIR)/decompose-resumed.txt
-	@echo "resume-smoke: resumed table and maps byte-identical to the uninterrupted runs"
+	@echo "resume-smoke: resumed table, maps and campaign byte-identical to the uninterrupted runs"
 
 # Daemon crash-safety smoke: spool two jobs into `nocmap serve`, kill
 # the daemon with SIGKILL mid-search, restart it over the same state

@@ -257,6 +257,15 @@ let setup_persist ~command dir every =
     Store.write_manifest store manifest;
     Some (Nocmap.Experiment.persist ~scope:command ~every store)
 
+(* Runs [f] over the checkpoint store.  A shard the run cannot use (a
+   corrupt journal, one recorded by another run, an unreadable record)
+   raises [Failure] naming the shard; it is reported like a manifest
+   mismatch, not as an internal error. *)
+let with_checkpoints persist f =
+  match persist with
+  | None -> f ()
+  | Some _ -> ( try f () with Failure msg -> or_die (Error msg))
+
 (* Printed when an interrupted run left resumable journals behind. *)
 let resume_hint dir =
   match dir with
@@ -548,8 +557,9 @@ let map_cmd =
         convergence_path
     in
     let outcome =
-      Request.run ~jobs:(resolve_jobs jobs) ~stop:stop_requested ?persist
-        ?convergence request
+      with_checkpoints persist (fun () ->
+          Request.run ~jobs:(resolve_jobs jobs) ~stop:stop_requested ?persist
+            ?convergence request)
     in
     let result = outcome.Request.result in
     (match (convergence_path, convergence) with
@@ -840,6 +850,7 @@ let table2_cmd =
     in
     with_metrics metrics @@ fun () ->
     let output =
+      with_checkpoints persist @@ fun () ->
       with_jobs (resolve_jobs jobs) (fun pool ->
           Nocmap.Table2.run_and_render ~config ~progress:prerr_endline ?pool
             ~stop:stop_requested ?persist ~seed ())
@@ -904,6 +915,7 @@ let faults_cmd =
     in
     with_metrics metrics @@ fun () ->
     let campaign =
+      with_checkpoints persist @@ fun () ->
       with_jobs (resolve_jobs jobs) (fun pool ->
           Nocmap.Fault_campaign.run ~config ?pool ~stop:stop_requested ?persist
             ~mesh ~seed cdcg)

@@ -8,7 +8,10 @@
     checkpoint or its finished result, and {!run} and {!slice} drive any
     of them the same way.  {!Portfolio}'s racers and {!Decompose}'s
     regions hold a {!state} and advance it by {!slice};
-    {!Search_persist.refine} journals a {!run}.
+    {!Search_persist.refine} journals a {!run}.  Work counters follow
+    one rule: each searcher flushes only its own call's work, so a
+    resumed state or a later slice never re-counts what an earlier call
+    already flushed.
 
     The searcher set is closed, so this is a variant rather than a
     module-typed contract: a race or a decomposition stores (and

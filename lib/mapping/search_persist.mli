@@ -7,20 +7,21 @@
     checkpoint, producing a result bit-identical to the uninterrupted
     run.
 
-    Journal protocol per shard: [progress] records carry the live
-    search state every [every] evaluations (and on interrupt); one
-    final [done] record carries the result.  On re-entry:
-    - a [done] record short-circuits the search and replays the
-      recorded result ([persist.replayed_results]);
-    - otherwise the latest [progress] record seeds a resume
-      ([persist.resume_events]);
-    - an empty journal (or none) runs fresh.
+    Every entry point runs under {!Nocmap_persist.Store.shard}'s
+    protocol (replay a [done] record, resume from the latest
+    [progress] record, or run fresh), checkpointing the live search
+    state every [every] evaluations and on interrupt.  This module
+    adds the codecs: each journaled record (the result, the four
+    searchers' checkpoints, the portfolio's and the decomposition's
+    checkpoint and report) is declared once, field by field, and that
+    one declaration both encodes and decodes it.
 
     The shard header stores a fingerprint of the search (algorithm,
     objective name, rng entry state, dimensions, config, warm start);
     resuming with a mismatching fingerprint fails loudly rather than
-    silently mixing two different runs.  Run-level identity
-    (application, mesh, seed) is the caller's manifest's job.
+    silently mixing two different runs.  Fingerprints are only ever
+    encoded and compared.  Run-level identity (application, mesh, seed)
+    is the caller's manifest's job.
 
     Without a [store] an entry point runs the plain search on the same
     arguments, so a caller makes one call whether or not it journals.
@@ -54,7 +55,9 @@ val refine :
     records its budget and start placement instead of an rng word.
     When [stop] cuts the run short, no [done] record is written — the
     journal stays resumable and the returned best-so-far is provisional.
-    @raise Failure on journal corruption or fingerprint mismatch. *)
+    @raise Failure on journal corruption, a fingerprint mismatch or an
+    unreadable checkpoint record, each message naming the shard path
+    (see {!Nocmap_persist.Store.shard}). *)
 
 val portfolio :
   ?store:Nocmap_persist.Store.t ->
@@ -111,9 +114,18 @@ val decompose :
 (**/**)
 
 (** Shared encodings, exposed for the driver layer ({!module:
-    Nocmap.Experiment} et al.) and tests. *)
+    Nocmap.Experiment} et al.), the benchmark probe and tests. *)
 
 val placement_json : Placement.t -> Nocmap_persist.Json.t
 val placement_of_json : Nocmap_persist.Json.t -> Placement.t
-val result_json : Objective.search_result -> Nocmap_persist.Json.t
-val result_of_json : Nocmap_persist.Json.t -> Objective.search_result
+
+val recode :
+  algorithm:string ->
+  [ `Progress | `Done ] ->
+  Nocmap_persist.Json.t ->
+  Nocmap_persist.Json.t
+(** [recode ~algorithm kind payload] decodes the [state] of a
+    [progress] record or the [value] of a [done] record, in a shard
+    whose header names [algorithm], with the codec the entry points
+    journal it with, and encodes it again.  The journal-format test
+    checks that this reproduces every record of the golden shards. *)

@@ -1,17 +1,17 @@
+(* Built at module initialisation, not on first use: two domains forcing
+   a [lazy] table at once raise [CamlinternalLazy.Undefined]. *)
 let table =
-  lazy
-    (Array.init 256 (fun i ->
-         let c = ref (Int32.of_int i) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor (Int32.shift_right_logical !c 1) 0xEDB88320l
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun i ->
+      let c = ref (Int32.of_int i) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor (Int32.shift_right_logical !c 1) 0xEDB88320l
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force table in
   let c = ref 0xFFFFFFFFl in
   String.iter
     (fun ch ->

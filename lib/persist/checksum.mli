@@ -3,6 +3,7 @@
     bit rot, not tampering. *)
 
 val crc32 : string -> int32
+(** Safe to call from several domains at once. *)
 
 val to_hex : int32 -> string
 (** Lower-case, zero-padded 8-digit rendering ("cbf43926"). *)

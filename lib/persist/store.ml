@@ -1,5 +1,9 @@
 module Metrics = Nocmap_obs.Metrics
 
+let m_resumes =
+  Metrics.counter "persist.resume_events"
+    ~help:"Searches resumed from a journal checkpoint"
+
 let m_replayed =
   Metrics.counter "persist.replayed_results"
     ~help:"Completed shard results replayed instead of recomputed"
@@ -39,43 +43,65 @@ let read_manifest t =
     | Ok j -> Ok j
     | Error e -> Error (Printf.sprintf "%s: %s" path e))
 
-let memo_meta ~key ~meta =
-  Json.Assoc [ ("kind", Json.Str "memo"); ("key", Json.Str key); ("meta", meta) ]
+let record tag field value =
+  Json.Assoc [ ("type", Json.Str tag); (field, value) ]
 
-let find_done records =
-  List.find_map
-    (fun r ->
-      match Json.find "type" r with
-      | Some (Json.Str "done") -> Some (Json.get "value" r)
-      | _ -> None)
-    records
+let last_record tag records =
+  List.find_opt
+    (fun r -> Json.find "type" r = Some (Json.Str tag))
+    (List.rev records)
+
+let open_shard ~path ~meta =
+  if not (Sys.file_exists path) then (Journal.create ~path ~meta, [])
+  else
+    match Journal.reopen ~path with
+    | Error msg -> failwith msg
+    | Ok (journal, loaded) when loaded.Journal.meta <> meta ->
+      Journal.close journal;
+      failwith
+        (Printf.sprintf
+           "%s: checkpoint does not match this run (recorded %s, expected %s)"
+           path
+           (Json.to_string loaded.Journal.meta)
+           (Json.to_string meta))
+    | Ok (journal, loaded) -> (journal, loaded.Journal.records)
+
+let shard t ~key ~meta ~encode ~decode ~encode_result ~decode_result ~finished
+    run =
+  let path = shard_path t ~key in
+  let journal, records = open_shard ~path ~meta in
+  let read field decode r =
+    try decode (Json.get field r)
+    with Json.Json_error msg | Failure msg ->
+      failwith (Printf.sprintf "%s: unreadable checkpoint record: %s" path msg)
+  in
+  Fun.protect
+    ~finally:(fun () -> Journal.close journal)
+    (fun () ->
+      match last_record "done" records with
+      | Some r ->
+        let result = read "value" decode_result r in
+        Metrics.incr m_replayed;
+        result
+      | None ->
+        let resume =
+          Option.map (read "state" decode) (last_record "progress" records)
+        in
+        if Option.is_some resume then Metrics.incr m_resumes;
+        let checkpoint c =
+          Journal.append_exn journal (record "progress" "state" (encode c))
+        in
+        let result = run ~checkpoint ~resume in
+        if finished () then
+          Journal.append_exn journal
+            (record "done" "value" (encode_result result));
+        result)
 
 let memoize t ~key ~meta f =
-  let path = shard_path t ~key in
-  let expected = memo_meta ~key ~meta in
-  let compute () =
-    let v = f () in
-    let j = Journal.create ~path ~meta:expected in
-    Journal.append_exn j
-      (Json.Assoc [ ("type", Json.Str "done"); ("value", v) ]);
-    Journal.close j;
-    v
-  in
-  if not (Sys.file_exists path) then compute ()
-  else
-    match Journal.load ~path with
-    | Error msg -> failwith msg
-    | Ok l ->
-      if l.Journal.meta <> expected then
-        failwith
-          (Printf.sprintf
-             "%s: checkpoint does not match this run (recorded %s, expected %s)"
-             path
-             (Json.to_string l.Journal.meta)
-             (Json.to_string expected))
-      else (
-        match find_done l.Journal.records with
-        | Some v ->
-          Metrics.incr m_replayed;
-          v
-        | None -> compute ())
+  shard t ~key
+    ~meta:
+      (Json.Assoc
+         [ ("kind", Json.Str "memo"); ("key", Json.Str key); ("meta", meta) ])
+    ~encode:Fun.id ~decode:Fun.id ~encode_result:Fun.id ~decode_result:Fun.id
+    ~finished:(fun () -> true)
+    (fun ~checkpoint:_ ~resume:_ -> f ())

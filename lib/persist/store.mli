@@ -28,12 +28,37 @@ val write_manifest : t -> Json.t -> unit
 
 val read_manifest : t -> (Json.t, string) result
 
+val shard :
+  t ->
+  key:string ->
+  meta:Json.t ->
+  encode:('c -> Json.t) ->
+  decode:(Json.t -> 'c) ->
+  encode_result:('r -> Json.t) ->
+  decode_result:(Json.t -> 'r) ->
+  finished:(unit -> bool) ->
+  (checkpoint:('c -> unit) -> resume:'c option -> 'r) ->
+  'r
+(** [shard store ~key ~meta … run] is the protocol every journaled
+    computation shares.  The [key] shard's header carries [meta]; its
+    records are [{"type":"progress","state":…}] checkpoints, appended
+    by [run]'s [checkpoint], and one final [{"type":"done","value":…}],
+    appended only when [finished ()] holds after [run] returns (so a
+    run cut short stays resumable).  On entry a [done] record is
+    replayed without calling [run] ([persist.replayed_results]);
+    otherwise [run] resumes from the latest [progress] record
+    ([persist.resume_events]), or starts fresh when there is none.
+    @raise Failure naming the shard path when the journal is corrupt
+    (see {!Journal.load}), when its header records another [meta]
+    (["checkpoint does not match this run"]), or when a decoder rejects
+    an intact record (["unreadable checkpoint record"]). *)
+
 val memoize :
   t -> key:string -> meta:Json.t -> (unit -> Json.t) -> Json.t
-(** [memoize store ~key ~meta f] replays the recorded value when the
-    [key] shard already holds a completed result (after checking that
-    its header [meta] matches — a mismatch means the resume does not
-    match the original run and fails loudly).  Otherwise runs [f] and
-    records the value.  For deterministic computations this makes a
-    resumed run bit-identical to an uninterrupted one while skipping
-    the work already done. *)
+(** [memoize store ~key ~meta f] is a {!shard} without [progress]
+    records whose header wraps [meta] as
+    [{"kind":"memo","key":key,"meta":meta}]: it replays the recorded
+    value, or runs [f] and records it.  For deterministic computations
+    this makes a resumed run bit-identical to an uninterrupted one
+    while skipping the work already done.
+    @raise Failure as {!shard} does. *)

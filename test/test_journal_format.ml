@@ -5,7 +5,12 @@
    checkpoint codec, a record tag or the checkpoint cadence moves a
    digest — and would strand the journals earlier builds wrote.  The
    digests were recorded with the per-searcher journaling wrappers that
-   {!Mapping.Search_persist.refine} replaced. *)
+   {!Mapping.Search_persist.refine} replaced, and the fault campaign's
+   digest before its memo shards moved onto the shared shard protocol.
+
+   The decoders are pinned the same way: every record of those shards,
+   decoded and encoded again, must reproduce its bytes.  A record that
+   passes its CRC but cannot be decoded must fail naming the shard. *)
 
 module Mesh = Nocmap_noc.Mesh
 module Crg = Nocmap_noc.Crg
@@ -14,6 +19,8 @@ module Noc_params = Nocmap_energy.Noc_params
 module Mapping = Nocmap_mapping
 module Rng = Nocmap_util.Rng
 module Store = Nocmap_persist.Store
+module Journal = Nocmap_persist.Journal
+module Json = Nocmap_persist.Json
 module Fsutil = Nocmap_persist.Fsutil
 module Fig1 = Nocmap_apps.Fig1
 module Scale = Nocmap_tgff.Scale
@@ -101,26 +108,102 @@ let decompose ?(mesh = Mesh.create ~cols:4 ~rows:4) refiner ~store ~stop =
        ~objective_for:(fun () -> Mapping.Objective.cwm ~tech ~crg ~cwg)
        ~stop ())
 
-let digest store = Digest.to_hex (Digest.file (Store.shard_path store ~key:"k"))
+let shard store = Store.shard_path store ~key:"k"
+let digest store = Digest.to_hex (Digest.file (shard store))
 
-(* (killed, resumed, uninterrupted) shard digests of one search. *)
-let three_ways run ~kill_at =
+(* [visit] the killed, the resumed and the uninterrupted shard of one
+   search. *)
+let three_ways run ~kill_at visit =
   let store = Store.open_ ~dir:(temp_dir ()) in
   run ~store ~stop:(stop_after kill_at);
-  let killed = digest store in
+  let killed = visit store in
   run ~store ~stop:never;
-  let resumed = digest store in
+  let resumed = visit store in
   let fresh = Store.open_ ~dir:(temp_dir ()) in
   run ~store:fresh ~stop:never;
-  (killed, resumed, digest fresh)
+  (killed, resumed, visit fresh)
+
+let load store = Result.get_ok (Journal.load ~path:(shard store))
+
+let payload record =
+  match Json.get "type" record with
+  | Json.Str "progress" -> (`Progress, Json.get "state" record)
+  | _ -> (`Done, Json.get "value" record)
+
+let recodes store =
+  let loaded = load store in
+  let algorithm = Json.to_str (Json.get "algorithm" loaded.Journal.meta) in
+  List.iter
+    (fun record ->
+      let kind, value = payload record in
+      Alcotest.(check string) "record re-encoded from its decoded value"
+        (Json.to_string value)
+        (Json.to_string (Mapping.Search_persist.recode ~algorithm kind value)))
+    loaded.Journal.records
 
 let golden name run ~kill_at expected =
   Alcotest.test_case name `Quick (fun () ->
-      let killed, resumed, uninterrupted = three_ways run ~kill_at in
+      let killed, resumed, uninterrupted =
+        three_ways run ~kill_at (fun store ->
+            recodes store;
+            digest store)
+      in
       let e_killed, e_resumed, e_uninterrupted = expected in
       Alcotest.(check string) "killed shard" e_killed killed;
       Alcotest.(check string) "resumed shard" e_resumed resumed;
       Alcotest.(check string) "uninterrupted shard" e_uninterrupted uninterrupted)
+
+(* Rewrites the shard, under valid CRCs, with the last field of its last
+   record's payload left out; returns that field's name. *)
+let drop_last_field store =
+  let loaded = load store in
+  let journal = Journal.create ~path:(shard store) ~meta:loaded.Journal.meta in
+  let rec rewrite = function
+    | [ Json.Assoc [ tag; (key, Json.Assoc fields) ] ] ->
+      let kept = List.filteri (fun i _ -> i < List.length fields - 1) fields in
+      Journal.append_exn journal (Json.Assoc [ tag; (key, Json.Assoc kept) ]);
+      fst (List.nth fields (List.length fields - 1))
+    | record :: rest ->
+      Journal.append_exn journal record;
+      rewrite rest
+    | [] -> Alcotest.fail "empty shard"
+  in
+  let dropped = rewrite loaded.Journal.records in
+  Journal.close journal;
+  dropped
+
+let unreadable name run ~kill_at =
+  Alcotest.test_case name `Quick (fun () ->
+      let store = Store.open_ ~dir:(temp_dir ()) in
+      run ~store ~stop:(stop_after kill_at);
+      let field = drop_last_field store in
+      match run ~store ~stop:never with
+      | () -> Alcotest.fail "resumed from an unreadable record"
+      | exception Failure msg ->
+        Alcotest.(check string) "failure names the shard and the field"
+          (Printf.sprintf "%s: unreadable checkpoint record: missing field %S"
+             (shard store) field)
+          msg)
+
+(* Every shard a small fault campaign writes (its two search legs and one
+   memo shard per scenario), digested as [md5sum *.jsonl | sort -k2 |
+   md5sum] does; `nocmap faults --builtin fft8 --noc 3x2 --quick --seed 5
+   --checkpoint-dir D` writes the same shards. *)
+let campaign_digest () =
+  let dir = temp_dir () in
+  ignore
+    (Nocmap.Fault_campaign.run ~config:Nocmap.Fault_campaign.default_config
+       ~persist:(Nocmap.Experiment.persist ~scope:"faults" (Store.open_ ~dir))
+       ~mesh:(Mesh.create ~cols:3 ~rows:2) ~seed:5
+       (Option.get (Nocmap_apps.Catalog.find "fft8")));
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".jsonl")
+  |> List.sort compare
+  |> List.map (fun f ->
+         Printf.sprintf "%s  %s\n"
+           (Digest.to_hex (Digest.file (Filename.concat dir f)))
+           f)
+  |> String.concat "" |> Digest.string |> Digest.to_hex
 
 let suite =
   ( "journal-format",
@@ -175,4 +258,12 @@ let suite =
         ("fb8803aeff5de2a4da0226af48be9047",
          "74ad6eb803183a19db6520f0f61c793d",
          "7ace08a10f552e456782a423b21f795c");
+      Alcotest.test_case "fault campaign shard bytes" `Quick (fun () ->
+          Alcotest.(check string) "shard listing digest"
+            "6b1cd1417af2e3b8f795cdd832bc11ec" (campaign_digest ()));
+      unreadable "unreadable sa record fails naming the shard" sa ~kill_at:250;
+      unreadable "unreadable portfolio record fails naming the shard" portfolio
+        ~kill_at:60;
+      unreadable "unreadable decompose record fails naming the shard"
+        (decompose Mapping.Decompose.Sa) ~kill_at:250;
     ] )
