@@ -543,8 +543,8 @@ let bench_json () =
   done;
   let pick i = placements.(i mod n_placements) in
   let cwm_ops =
-    ops_per_sec (fun i ->
-        ignore (Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg (pick i)))
+    let cwm = Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg in
+    ops_per_sec (fun i -> ignore (cwm (pick i)))
   in
   (* The perf trajectory is tracked against a frozen copy of the seed
      simulator (record events, per-call allocation of every structure) —
@@ -1090,7 +1090,8 @@ let bechamel_report () =
       Test.make ~name:"table1-features"
         (Staged.stage (fun () -> Nocmap_model.Features.of_cdcg cdcg));
       Test.make ~name:"table2-cwm-eval-3x3"
-        (Staged.stage (fun () -> Mapping.Cost_cwm.dynamic_energy ~tech:Technology.t007 ~crg ~cwg placement));
+        (let cwm = Mapping.Cost_cwm.dynamic_energy ~tech:Technology.t007 ~crg ~cwg in
+         Staged.stage (fun () -> cwm placement));
       Test.make ~name:"table2-cdcm-eval-3x3"
         (Staged.stage (fun () ->
              Wormhole.run ~trace:false ~params:example_params ~crg ~placement cdcg));
@@ -1205,10 +1206,8 @@ let scale_profile () =
             Mapping.Placement.random (Rng.split rng) ~cores ~tiles)
       in
       let cwm_ops =
-        ops_per_sec (fun j ->
-            ignore
-              (Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg
-                 placements.(j mod Array.length placements)))
+        let cwm = Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg in
+        ops_per_sec (fun j -> ignore (cwm placements.(j mod Array.length placements)))
       in
       let pipe_cores = Cdcg.core_count cdcg in
       let pipe_placements =

@@ -87,9 +87,9 @@ let routing_arg =
   in
   Arg.(value & opt string "xy" & info [ "routing" ] ~docv:"ALG" ~doc)
 
-let load_routing s =
+let load_routing ~mesh s =
   match Nocmap_noc.Routing.algorithm_of_string s with
-  | algo -> Ok algo
+  | algo -> Result.map (fun () -> algo) (Nocmap_noc.Routing.check_mesh mesh algo)
   | exception Invalid_argument msg -> Error msg
 
 (* On a stacked mesh the dimension-ordered walk ends with the vertical
@@ -518,7 +518,7 @@ let map_cmd =
     let module Request = Mapping.Request in
     let tech = or_die (load_tech tech_name) in
     let cdcg = or_die (load_app ~path:app ~builtin) in
-    let routing = or_die (load_routing routing) in
+    let routing = or_die (load_routing ~mesh routing) in
     let cores = Cdcg.core_count cdcg in
     if cores > Mesh.tile_count mesh then
       or_die
@@ -667,7 +667,7 @@ let eval_cmd =
   let run mesh flit tech_name routing app builtin placement gantt annotations hotspots =
     let tech = or_die (load_tech tech_name) in
     let cdcg = or_die (load_app ~path:app ~builtin) in
-    let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
+    let crg = Crg.create ~routing:(or_die (load_routing ~mesh routing)) mesh in
     let params = Noc_params.make ~flit_bits:flit () in
     let cores = Cdcg.core_count cdcg in
     let placement =
@@ -694,7 +694,7 @@ let eval_cmd =
 let analyze_cmd =
   let run mesh flit routing app builtin placement =
     let cdcg = or_die (load_app ~path:app ~builtin) in
-    let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
+    let crg = Crg.create ~routing:(or_die (load_routing ~mesh routing)) mesh in
     let params = Noc_params.make ~flit_bits:flit () in
     let cores = Cdcg.core_count cdcg in
     if cores > Mesh.tile_count mesh then
@@ -756,7 +756,7 @@ let dot_cmd =
     in
     match what with
     | "crg" ->
-      let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
+      let crg = Crg.create ~routing:(or_die (load_routing ~mesh routing)) mesh in
       emit
         (Nocmap_graph.Dot.render ~graph_name:(Mesh.to_string mesh)
            ~vertex_name:(Printf.sprintf "t%d")
@@ -806,7 +806,7 @@ let export_cmd =
   in
   let run mesh flit routing app builtin what out =
     let cdcg = or_die (load_app ~path:app ~builtin) in
-    let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
+    let crg = Crg.create ~routing:(or_die (load_routing ~mesh routing)) mesh in
     let params = Noc_params.make ~flit_bits:flit () in
     let cores = Cdcg.core_count cdcg in
     if cores > Mesh.tile_count mesh then

@@ -4,10 +4,14 @@ module Mesh = Nocmap_noc.Mesh
 module Cwg = Nocmap_model.Cwg
 module Equations = Nocmap_energy.Equations
 
-let check ~crg placement =
-  match Placement.validate ~tiles:(Crg.tile_count crg) placement with
+let check ~crg ~cwg placement =
+  (match Placement.validate ~tiles:(Crg.tile_count crg) placement with
   | Ok () -> ()
-  | Error msg -> invalid_arg ("Cost_cwm: " ^ msg)
+  | Error msg -> invalid_arg ("Cost_cwm: " ^ msg));
+  if Array.length placement < Cwg.core_count cwg then
+    invalid_arg
+      (Printf.sprintf "Cost_cwm: placement covers %d cores, the CWG has %d"
+         (Array.length placement) (Cwg.core_count cwg))
 
 (* A vertical link is a link of the route, so [tsv < routers] bounds
    the rows even for a faulted detour that climbs and descends; a planar
@@ -23,31 +27,62 @@ let ebit_table ~tech ~crg =
   done;
   table
 
+(* Raised out of a fold at a pair with no route, so the fold's loop
+   holds no call and keeps its sum in a register. *)
+exception Unrouted
+
+(* The fold reads its arrays unchecked: after [check], every core index
+   of the CWG is below [Array.length placement] and every tile below
+   [tiles], so each pair indexes the [tiles * tiles] tables, and a
+   route's [tsv < routers <= max_routers] keeps the table entry in
+   range.  Terms are summed in [Cwg.communications] order, so the float
+   is the same as a checked fold's. *)
 let dynamic_energy ~tech ~crg ~cwg =
   let table = ebit_table ~tech ~crg in
   let cols = Crg.max_routers crg + 1 in
   let tiles = Crg.tile_count crg in
   let router_counts = Crg.router_counts crg and tsv = Crg.tsv_counts crg in
-  let planar = Array.length tsv = 0 in
   let src = cwg.Cwg.comm_src and dst = cwg.Cwg.comm_dst in
-  let bits = cwg.Cwg.comm_bits in
-  fun placement ->
-    check ~crg placement;
+  let weights = Array.map float_of_int cwg.Cwg.comm_bits in
+  let planar placement =
     let acc = ref 0.0 in
-    for i = 0 to Array.length bits - 1 do
-      let s = placement.(src.(i)) and d = placement.(dst.(i)) in
-      let pair = (s * tiles) + d in
-      let routers = router_counts.(pair) in
-      if routers = 0 then
-        invalid_arg
-          (Printf.sprintf "Cost_cwm: no route from tile %d to tile %d" s d);
-      let row = if planar then 0 else tsv.(pair) * cols in
-      acc := !acc +. (float_of_int bits.(i) *. table.(row + routers))
+    for i = 0 to Array.length weights - 1 do
+      let s = Array.unsafe_get placement (Array.unsafe_get src i) in
+      let d = Array.unsafe_get placement (Array.unsafe_get dst i) in
+      let routers = Array.unsafe_get router_counts ((s * tiles) + d) in
+      if routers = 0 then raise_notrace Unrouted;
+      acc := !acc +. (Array.unsafe_get weights i *. Array.unsafe_get table routers)
     done;
     !acc
+  in
+  let stacked placement =
+    let acc = ref 0.0 in
+    for i = 0 to Array.length weights - 1 do
+      let s = Array.unsafe_get placement (Array.unsafe_get src i) in
+      let d = Array.unsafe_get placement (Array.unsafe_get dst i) in
+      let pair = (s * tiles) + d in
+      let routers = Array.unsafe_get router_counts pair in
+      if routers = 0 then raise_notrace Unrouted;
+      let row = Array.unsafe_get tsv pair * cols in
+      acc := !acc +. (Array.unsafe_get weights i *. Array.unsafe_get table (row + routers))
+    done;
+    !acc
+  in
+  let fold = if Array.length tsv = 0 then planar else stacked in
+  fun placement ->
+    check ~crg ~cwg placement;
+    try fold placement
+    with Unrouted ->
+      let rec first i =
+        let s = placement.(src.(i)) and d = placement.(dst.(i)) in
+        if router_counts.((s * tiles) + d) = 0 then
+          invalid_arg (Printf.sprintf "Cost_cwm: no route from tile %d to tile %d" s d)
+        else first (i + 1)
+      in
+      first 0
 
 let cost_table ~tech ~crg ~cwg placement =
-  check ~crg placement;
+  check ~crg ~cwg placement;
   let mesh = Crg.mesh crg in
   let routers = Array.make (Mesh.tile_count mesh) 0.0 in
   let links = Array.make (Link.slot_count mesh) 0.0 in
@@ -77,7 +112,7 @@ let cost_table ~tech ~crg ~cwg placement =
   (routers, links)
 
 let bit_hops ~crg ~cwg placement =
-  check ~crg placement;
+  check ~crg ~cwg placement;
   let comm acc (src, dst, bits) =
     let routers =
       Crg.router_count_on_path crg ~src:placement.(src) ~dst:placement.(dst)

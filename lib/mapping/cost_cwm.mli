@@ -14,13 +14,16 @@ val dynamic_energy :
   Placement.t ->
   float
 (** [EDyNoC] in Joules: a fold over the CWG's communication arrays and
-    the CRG's per-pair router and TSV counts.  Applied to [~tech ~crg
-    ~cwg] alone, it builds its per-bit energy table once and returns the
-    evaluator; {!Objective.cwm} uses it that way.  Each term is the float
+    the CRG's per-pair router and TSV counts, which builds no route.
+    Applied to [~tech ~crg ~cwg] alone, it builds its per-bit energy
+    table and float weights once and returns the evaluator;
+    {!Objective.cwm} uses it that way.  Each term is the float
     {!Nocmap_energy.Equations.communication_energy} gives for the pair's
-    route, summed in {!Nocmap_model.Cwg.communications} order.
-    @raise Invalid_argument on an invalid placement, or when two
-    communicating cores sit on tiles with no route between them. *)
+    route, summed in {!Nocmap_model.Cwg.communications} order, so every
+    cost is bit-identical to that per-communication sum.
+    @raise Invalid_argument on an invalid placement, one that places
+    fewer cores than the CWG has, or when two communicating cores sit on
+    tiles with no route between them. *)
 
 val ebit_table :
   tech:Nocmap_energy.Technology.t -> crg:Nocmap_noc.Crg.t -> float array

@@ -11,7 +11,7 @@ type t = {
   mesh : Mesh.t;
   routing : Routing.algorithm;
   faults : Fault.t option;
-  paths : path array; (* index: src * n + dst *)
+  paths : path array; (* index: src * n + dst; fault-free: [unbuilt] until [path] *)
   detours : int array; (* extra links vs the fault-free route; -1 = unreachable *)
   tsv : int array; (* vertical links per pair; [||] on a planar mesh (all 0) *)
   router_counts : int array; (* routers per pair, 0 = unreachable *)
@@ -19,6 +19,11 @@ type t = {
 }
 
 let unreachable_path = { routers = [||]; links = [||] }
+
+(* Marks a route [path] has not built yet, compared by [==].  Its array
+   is made at run time: ocamlopt shares equal immutable constants, so a
+   literal could be the very block [unreachable_path] is. *)
+let unbuilt = { routers = Array.make 1 (-1); links = [||] }
 
 (* Surviving adjacency: for each alive router, the outgoing (link, dst)
    pairs whose link and far endpoint survive, in ascending link-id order
@@ -101,9 +106,55 @@ let make ~mesh ~routing ~faults ~paths ~detours =
     max_routers = Array.fold_left max 0 router_counts;
   }
 
+(* The per-pair tables of a fault-free CRG, without walking a route:
+   the dimension-ordered route from [src] to [dst] takes
+   [Routing.axis_hops] hops along each planar dimension and [|dz|]
+   vertical links, so it holds their sum plus one routers.  Each
+   dimension reaches its largest distance independently of the others,
+   so the longest route is the sum of the per-dimension maxima. *)
+let closed_form ~mesh ~routing ~faults =
+  let cols = mesh.Mesh.cols and rows = mesh.Mesh.rows and layers = mesh.Mesh.layers in
+  let n = Mesh.tile_count mesh in
+  let axis extent =
+    Array.init (extent * extent) (fun i ->
+        Routing.axis_hops routing ~extent (i / extent) (i mod extent))
+  in
+  let hx = axis cols and hy = axis rows in
+  let router_counts = Array.make (n * n) 0 in
+  let tsv = if layers = 1 then [||] else Array.make (n * n) 0 in
+  for src = 0 to n - 1 do
+    let xs = src mod cols and ys = src / cols mod rows and zs = src / (cols * rows) in
+    let pair = ref (src * n) in
+    for zd = 0 to layers - 1 do
+      let v = abs (zd - zs) in
+      for yd = 0 to rows - 1 do
+        let yz = hy.((ys * rows) + yd) + v + 1 in
+        for xd = 0 to cols - 1 do
+          router_counts.(!pair) <- hx.((xs * cols) + xd) + yz;
+          if layers > 1 then tsv.(!pair) <- v;
+          incr pair
+        done
+      done
+    done
+  done;
+  let widest a = Array.fold_left Int.max 0 a in
+  {
+    mesh;
+    routing;
+    faults;
+    paths = Array.make (n * n) unbuilt;
+    detours = Array.make (n * n) 0;
+    tsv;
+    router_counts;
+    max_routers = widest hx + widest hy + layers;
+  }
+
 let create ?(routing = Routing.Xy) ?faults mesh =
   let n = Mesh.tile_count mesh in
   let wrap = Routing.uses_wrap_links routing in
+  (match Routing.check_mesh mesh routing with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Crg.create: " ^ msg));
   let effective =
     match faults with
     | Some f when not (Fault.is_empty f) -> Some f
@@ -128,11 +179,7 @@ let create ?(routing = Routing.Xy) ?faults mesh =
                (Routing.algorithm_to_string routing)))
       (Fault.failed_links f));
   match effective with
-  | None ->
-    let paths =
-      Array.init (n * n) (fun i -> Routing.route mesh routing ~src:(i / n) ~dst:(i mod n))
-    in
-    make ~mesh ~routing ~faults ~paths ~detours:(Array.make (n * n) 0)
+  | None -> closed_form ~mesh ~routing ~faults
   | Some f ->
     let adj = surviving_adjacency mesh ~wrap f in
     let paths = Array.make (n * n) unreachable_path in
@@ -180,9 +227,19 @@ let check_pair t ~src ~dst =
   if src < 0 || src >= n then invalid_arg "Crg.path: tile out of range"
   else if dst < 0 || dst >= n then invalid_arg "Crg.path: tile out of range"
 
+(* Domains may race to build one route: each builds the same immutable
+   route, and the array store publishes it whole, so a reader sees
+   [unbuilt] or a complete route and the last store wins harmlessly. *)
 let path t ~src ~dst =
   check_pair t ~src ~dst;
-  t.paths.((src * tile_count t) + dst)
+  let i = (src * tile_count t) + dst in
+  let p = t.paths.(i) in
+  if p != unbuilt then p
+  else begin
+    let p = Routing.route t.mesh t.routing ~src ~dst in
+    t.paths.(i) <- p;
+    p
+  end
 
 let classify t ~src ~dst =
   check_pair t ~src ~dst;

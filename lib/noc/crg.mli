@@ -1,11 +1,24 @@
 (** Communication resource graph (Definition 3 of the paper).
 
     The CRG packages the target architecture: the mesh, the routing
-    algorithm, an optional hardware-fault scenario, and precomputed
-    router/link paths between every ordered tile pair.  Routers and
-    links carry the cost variables the mapping algorithms accumulate;
-    those annotations live with the evaluator, while this module owns
-    the static structure.
+    algorithm, an optional hardware-fault scenario, and the router/link
+    paths between every ordered tile pair.  Routers and links carry the
+    cost variables the mapping algorithms accumulate; those annotations
+    live with the evaluator, while this module owns the static
+    structure.
+
+    {b When paths are built.}  A fault-free CRG fills its per-pair
+    tables ({!router_counts}, {!tsv_counts}, {!max_routers}) in closed
+    form from tile coordinates and walks no route at creation: {!path}
+    builds a pair's route on its first call and keeps it.  A CWM search
+    reads only the tables, so it never builds a route, and a simulation
+    builds just the routes its packets take.  Domains may call {!path}
+    concurrently: two first calls for one pair race benignly, because
+    each builds the same immutable route and the store publishes it
+    whole, so every caller gets a complete route equal to the eager
+    one.  A faulted CRG builds every path at creation, since
+    {!classify}, {!unreachable_pairs} and the detour totals need every
+    pair up front.
 
     With a {!Fault} scenario, path precomputation degrades gracefully:
     a pair whose dimension-ordered route survives keeps it unchanged; a
@@ -30,10 +43,12 @@ type reachability =
 type t
 
 val create : ?routing:Routing.algorithm -> ?faults:Fault.t -> Mesh.t -> t
-(** Builds the CRG and precomputes all pairwise paths (XY by default).
-    @raise Invalid_argument when [faults] was built for a different mesh
-    or references link slots that are not physical under the requested
-    routing's wrap mode. *)
+(** Builds the CRG (XY by default): the per-pair tables, and every path
+    too when [faults] is a non-empty scenario.
+    @raise Invalid_argument when {!Routing.check_mesh} rejects the
+    routing on the mesh, when [faults] was built for a different mesh,
+    or when it references link slots that are not physical under the
+    requested routing's wrap mode. *)
 
 val mesh : t -> Mesh.t
 
@@ -45,7 +60,9 @@ val faults : t -> Fault.t option
 val tile_count : t -> int
 
 val path : t -> src:int -> dst:int -> path
-(** Precomputed path; the empty path for an {!Unreachable} pair.
+(** The pair's route, built on the first call on a fault-free CRG and
+    shared afterwards; the empty path for an {!Unreachable} pair.
+    Safe to call from several domains at once.
     @raise Invalid_argument on out-of-range tiles. *)
 
 val classify : t -> src:int -> dst:int -> reachability
@@ -67,8 +84,9 @@ val router_count_on_path : t -> src:int -> dst:int -> int
     {!Unreachable} pair). *)
 
 val tsv_links_on_path : t -> src:int -> dst:int -> int
-(** Number of vertical (TSV) links on the precomputed path — the [v] in
-    the 3-D extension of Eq. (2).  Always 0 on a planar mesh; O(1). *)
+(** Number of vertical (TSV) links on the pair's path — the [v] in the
+    3-D extension of Eq. (2).  Always 0 on a planar mesh; O(1), and
+    builds no route. *)
 
 (** {2 Flat per-pair tables}
 
@@ -85,7 +103,7 @@ val tsv_counts : t -> int array
     mesh, where every count is 0. *)
 
 val max_routers : t -> int
-(** The longest precomputed route, in routers. *)
+(** The longest route, in routers. *)
 
 val to_digraph : t -> Nocmap_graph.Digraph.t
 (** Vertices are tiles, edges are the {e surviving} physical links

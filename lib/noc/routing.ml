@@ -27,6 +27,15 @@ let uses_wrap_links = function
   | Xy | Yx -> false
   | Torus_xy | Torus_yx -> true
 
+let check_mesh mesh algo =
+  if uses_wrap_links algo && (mesh.Mesh.cols < 3 || mesh.Mesh.rows < 3) then
+    Error
+      (Printf.sprintf
+         "%s routing requires both planar dimensions of the NoC to be at \
+          least 3, got %s"
+         (algorithm_to_string algo) (Mesh.to_string mesh))
+  else Ok ()
+
 (* Signed hop count from [v] to [target] along one dimension of size
    [extent].  On a torus it takes the shorter way around, forward on
    ties; re-deciding at every hop picks the same way, so the sign holds
@@ -37,6 +46,8 @@ let offset ~torus v target extent =
     let forward = (target - v + extent) mod extent in
     let backward = (v - target + extent) mod extent in
     if forward <= backward then forward else -backward
+
+let axis_hops algo ~extent a b = abs (offset ~torus:(uses_wrap_links algo) a b extent)
 
 (* Writes [hops] hops along one dimension from hop index [i] on: each
    moves coordinate [v] one step by [sign] (wrapping within [extent]),
@@ -69,9 +80,10 @@ let down = Link.direction_slot Link.Down
 (* The vertical dimension never wraps — TSVs are physical vias — so the
    z walk is a plain mesh walk even for the torus algorithms. *)
 let route mesh algo ~src ~dst =
+  (match check_mesh mesh algo with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Routing.route: " ^ msg));
   let torus = uses_wrap_links algo in
-  if torus && (mesh.Mesh.cols < 3 || mesh.Mesh.rows < 3) then
-    invalid_arg "Routing.router_path: torus routing requires both dimensions >= 3";
   let xs, ys, zs = Mesh.coord3_of_tile mesh src in
   let xd, yd, zd = Mesh.coord3_of_tile mesh dst in
   let cols = mesh.Mesh.cols and rows = mesh.Mesh.rows in

@@ -26,6 +26,17 @@ val algorithm_of_string : string -> algorithm
 val uses_wrap_links : algorithm -> bool
 (** Whether routes may traverse wrap-around links. *)
 
+val check_mesh : Mesh.t -> algorithm -> (unit, string) result
+(** [Error] naming the algorithm and the mesh when the algorithm cannot
+    route on it: a torus algorithm needs both planar dimensions to be at
+    least 3 (see {!Link}).  Every other pairing is [Ok]. *)
+
+val axis_hops : algorithm -> extent:int -> int -> int -> int
+(** Hops a route takes along one planar dimension of [extent] tiles,
+    from coordinate [a] to coordinate [b]: [|b - a|] on a mesh, the
+    shorter way around on a torus.  A route's router count is the sum
+    over both planar dimensions, plus the layer distance, plus 1. *)
+
 type path = {
   routers : int array;  (** Tiles traversed, source to destination inclusive. *)
   links : int array;    (** {!Link.id}s between consecutive routers. *)
@@ -38,8 +49,8 @@ val route : Mesh.t -> algorithm -> src:int -> dst:int -> path
     [~wrap] under a torus algorithm).  On a stacked mesh the vertical
     offset is resolved last, after both planar dimensions.  Allocates
     the two arrays and nothing per hop.
-    @raise Invalid_argument for a torus algorithm on a mesh with a
-    planar dimension below 3 (see {!Link}), or an out-of-range tile. *)
+    @raise Invalid_argument when {!check_mesh} rejects the pairing, or
+    on an out-of-range tile. *)
 
 val router_path : Mesh.t -> algorithm -> src:int -> dst:int -> int list
 (** The routers of {!route}, as a list. *)

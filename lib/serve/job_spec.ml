@@ -150,9 +150,14 @@ let parse_mesh s =
   | exception Invalid_argument msg -> Error (Printf.sprintf "field \"noc\": %s" msg)
   | exception _ -> Error (Printf.sprintf "field \"noc\": bad NoC size %S" s)
 
-let parse_routing s =
+(* A torus on a mesh too narrow to wrap is refused here, at admission,
+   not when the job runs. *)
+let parse_routing ~mesh s =
   match Routing.algorithm_of_string s with
-  | algo -> Ok algo
+  | algo -> (
+    match Routing.check_mesh mesh algo with
+    | Ok () -> Ok algo
+    | Error msg -> Error (Printf.sprintf "field \"routing\": %s" msg))
   | exception Invalid_argument msg ->
     Error (Printf.sprintf "field \"routing\": %s" msg)
   | exception _ -> Error (Printf.sprintf "field \"routing\": bad algorithm %S" s)
@@ -190,7 +195,7 @@ let of_json j =
     let* mesh_s = str_field ~default:"3x3" j "noc" in
     let* mesh = parse_mesh mesh_s in
     let* routing_s = str_field ~default:"xy" j "routing" in
-    let* routing = parse_routing routing_s in
+    let* routing = parse_routing ~mesh routing_s in
     let* tech_s = str_field ~default:"0.07um" j "tech" in
     let* tech =
       match Technology.of_name tech_s with

@@ -59,7 +59,9 @@ val of_json : Nocmap_persist.Json.t -> (t, string) result
     ["xy"], tech ["0.07um"], flit [16], model ["cdcm"], algorithm
     ["sa"], seed [1], budget ["standard"], incremental [false], no
     timeout.  A field outside that list (plus [id], [app],
-    [strategies] and [refiner]) rejects the spec, naming the field.
+    [strategies] and [refiner]) rejects the spec, naming the field, and
+    so does a torus routing on a NoC that
+    {!Nocmap_noc.Routing.check_mesh} refuses (field ["routing"]).
     Never raises. *)
 
 val of_string : string -> (t, string) result

@@ -254,9 +254,16 @@ let test_cwm_unreachable_pair_rejected () =
   let placement = [| 0; 1; 2; 4 |] in
   Alcotest.(check bool) "reference raises" true
     (raises (fun () -> reference_energy ~tech ~crg ~cwg:Fig1.cwg placement));
-  Alcotest.(check bool) "fold raises" true
-    (raises (fun () ->
-         Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg:Fig1.cwg placement))
+  Alcotest.check_raises "fold names the first pair without a route"
+    (Invalid_argument "Cost_cwm: no route from tile 0 to tile 1")
+    (fun () ->
+      ignore (Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg:Fig1.cwg placement));
+  (* The fold reads the placement unchecked, so one that leaves a core
+     of the CWG unplaced is refused up front. *)
+  Alcotest.check_raises "short placement"
+    (Invalid_argument "Cost_cwm: placement covers 3 cores, the CWG has 4")
+    (fun () ->
+      ignore (Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg:Fig1.cwg [| 4; 5; 6 |]))
 
 let suite =
   ( "cost",

@@ -140,18 +140,114 @@ let test_golden_faulted_routes () =
   Alcotest.(check string) "5x4 yx, router 7 down" "af2c1edfd84d13f6babdc4f16d16caf3"
     (route_digest (Crg.create ~routing:Routing.Yx ~faults:router_down m54))
 
-(* Routes are written straight into their two arrays: a 12x12 CRG
-   (20 736 routes) allocates well under a million minor words, where
-   building each route through lists and tuples took six million. *)
-let test_create_allocation () =
-  let mesh = Mesh.create ~cols:12 ~rows:12 in
+(* Routes are built on first use, so domains race to build them.  Four
+   domains, released together, each ask for every pair of a fresh CRG
+   in their own order and then digest it: every digest must be the
+   golden one, whichever domain built a route. *)
+let test_lazy_routes_race () =
+  List.iter
+    (fun (shape, routing) ->
+      let golden =
+        List.find_map
+          (fun (s, r, d) -> if s = shape && r = routing then Some d else None)
+          golden_routes
+        |> Option.get
+      in
+      let crg =
+        Crg.create ~routing:(Routing.algorithm_of_string routing) (Mesh.of_string shape)
+      in
+      let n = Crg.tile_count crg in
+      let pairs = n * n in
+      let orders =
+        [|
+          (fun k -> k);
+          (fun k -> pairs - 1 - k);
+          (fun k -> ((k mod n) * n) + (k / n));
+          (* 7919 is a prime dividing none of these pair counts. *)
+          (fun k -> k * 7919 mod pairs);
+        |]
+      in
+      let ready = Atomic.make 0 in
+      let walker order () =
+        Atomic.incr ready;
+        while Atomic.get ready < Array.length orders do
+          Domain.cpu_relax ()
+        done;
+        for k = 0 to pairs - 1 do
+          let i = order k in
+          ignore (Sys.opaque_identity (Crg.path crg ~src:(i / n) ~dst:(i mod n)))
+        done;
+        route_digest crg
+      in
+      let domains = Array.map (fun order -> Domain.spawn (walker order)) orders in
+      Array.iteri
+        (fun d domain ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s, domain %d" shape routing d)
+            golden (Domain.join domain))
+        domains)
+    [ ("12x12", "xy"); ("5x4", "torus-yx"); ("4x3x3", "yx") ]
+
+(* The closed-form tables of a fault-free CRG against walking every
+   pair with [Routing.route]: router counts, vertical-link counts and
+   the longest route, on planar and stacked meshes under XY and YX, and
+   on tori (even extents too) wherever both planar sides are 3 or more. *)
+let prop_closed_form_tables =
+  QCheck2.Test.make ~name:"fault-free tables equal walking every route"
+    ~count:(Test_util.prop_count 200)
+    ~print:(fun (cols, rows, layers, routing) ->
+      Printf.sprintf "%dx%dx%d %s" cols rows layers
+        (Routing.algorithm_to_string routing))
+    QCheck2.Gen.(
+      let* cols = int_range 1 7 in
+      let* rows = int_range 1 7 in
+      let* layers = int_range 1 3 in
+      let* routing =
+        if cols >= 3 && rows >= 3 then
+          oneofl [ Routing.Xy; Routing.Yx; Routing.Torus_xy; Routing.Torus_yx ]
+        else oneofl [ Routing.Xy; Routing.Yx ]
+      in
+      return (cols, rows, layers, routing))
+    (fun (cols, rows, layers, routing) ->
+      let mesh = Mesh.create3 ~cols ~rows ~layers in
+      let crg = Crg.create ~routing mesh in
+      let n = Mesh.tile_count mesh in
+      let counts = Array.make (n * n) 0 and tsv = Array.make (n * n) 0 in
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          let p = Routing.route mesh routing ~src ~dst in
+          counts.((src * n) + dst) <- Array.length p.Routing.routers;
+          tsv.((src * n) + dst) <-
+            Array.fold_left
+              (fun v l -> if Link.is_vertical mesh l then v + 1 else v)
+              0 p.Routing.links
+        done
+      done;
+      Crg.router_counts crg = counts
+      && Crg.tsv_counts crg = (if layers = 1 then [||] else tsv)
+      && Crg.max_routers crg = Array.fold_left max 0 counts)
+
+(* A fault-free CRG fills only its per-pair tables: at most four words
+   per ordered pair (route slots, detours, router counts and, when
+   stacked, vertical-link counts) plus a few small arrays.  Walking
+   every route at create time costs about thirty words per pair (0.6 M
+   at 12x12, 2.4 M at 16x16), so the ceiling fails if routes are built
+   eagerly again.  The tables live on the major heap, so the count
+   covers both heaps; emptying the minor heap first keeps a collection
+   out of the window. *)
+let test_create_allocation shape () =
+  let mesh = Mesh.of_string shape in
+  let n = float_of_int (Mesh.tile_count mesh) in
   ignore (Crg.create mesh);
-  let before = Gc.minor_words () in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
   ignore (Sys.opaque_identity (Crg.create mesh));
-  let allocated = Gc.minor_words () -. before in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  let ceiling = (4.0 *. n *. n) +. 4096.0 in
   Alcotest.(check bool)
-    (Printf.sprintf "12x12 create allocates %.0f words" allocated)
-    true (allocated <= 1e6)
+    (Printf.sprintf "%s create allocates %.0f words, at most %.0f" shape words
+       ceiling)
+    true (words <= ceiling)
 
 let suite =
   ( "crg",
@@ -163,5 +259,10 @@ let suite =
       Alcotest.test_case "to_digraph" `Quick test_to_digraph;
       Alcotest.test_case "golden routes" `Quick test_golden_routes;
       Alcotest.test_case "golden faulted routes" `Quick test_golden_faulted_routes;
-      Alcotest.test_case "12x12 create allocation" `Quick test_create_allocation;
+      Alcotest.test_case "12x12 create allocation" `Quick
+        (test_create_allocation "12x12");
+      Alcotest.test_case "16x16 create allocation" `Quick
+        (test_create_allocation "16x16");
+      Alcotest.test_case "lazy routes race safely" `Quick test_lazy_routes_race;
+      QCheck_alcotest.to_alcotest prop_closed_form_tables;
     ] )

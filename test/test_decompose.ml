@@ -300,6 +300,77 @@ let test_single_region_degenerate () =
     (List.length report.Mapping.Decompose.regions);
   Alcotest.(check int) "no cut traffic" 0 report.Mapping.Decompose.cut
 
+(* --- golden CWM reports --- *)
+
+(* MD5 of everything a CWM decompose reports that depends on the cost
+   fold and the CRG tables: the placement, the cost, the evaluation
+   count, each region's cost and evaluations, and the polish
+   evaluations, floats in exact [%h] form. *)
+let report_digest (report : Mapping.Decompose.report) =
+  let b = Buffer.create 1024 in
+  let result = report.Mapping.Decompose.result in
+  Array.iter
+    (fun t -> Buffer.add_string b (string_of_int t ^ ","))
+    result.Mapping.Objective.placement;
+  Buffer.add_string b
+    (Printf.sprintf "\n%h %d\n" result.Mapping.Objective.cost
+       result.Mapping.Objective.evaluations);
+  List.iter
+    (fun (r : Mapping.Decompose.region_report) ->
+      Buffer.add_string b
+        (Printf.sprintf "%h %d\n" r.Mapping.Decompose.region_cost
+           r.Mapping.Decompose.region_evaluations))
+    report.Mapping.Decompose.regions;
+  Buffer.add_string b
+    (string_of_int report.Mapping.Decompose.polish_evaluations);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The application [nocmap gen --seed SEED --cores CORES --packets
+   PACKETS] writes, and a CWM decompose of it at the CLI's default
+   technology. *)
+let golden_report ?(routing = Routing.Xy) ~shape ~cores ~packets ~seed
+    ~budget ~jobs () =
+  let mesh = Mesh.of_string shape in
+  let crg = Crg.create ~routing mesh in
+  let cdcg =
+    Nocmap_tgff.Generator.generate (Rng.create ~seed)
+      (Nocmap_tgff.Generator.default_spec
+         ~name:(Printf.sprintf "random-%d" seed)
+         ~cores ~packets ~total_bits:50_000)
+  in
+  let cwg = Cwg.of_cdcg cdcg in
+  let tech = Technology.t007 in
+  let search pool =
+    Mapping.Decompose.search ~rng:(Rng.create ~seed)
+      ~config:(budget ~tiles:(Mesh.tile_count mesh))
+      ~crg ~cwg
+      ~objective_for:(fun () -> Mapping.Objective.cwm ~tech ~crg ~cwg)
+      ?pool ()
+  in
+  report_digest
+    (if jobs <= 1 then search None
+     else Domain_pool.with_pool ~jobs (fun pool -> search (Some pool)))
+
+let test_golden_reports () =
+  let check = Alcotest.(check string) in
+  let default = Mapping.Decompose.default_config
+  and quick = Mapping.Decompose.quick_config in
+  List.iter
+    (fun jobs ->
+      check
+        (Printf.sprintf "96 cores on 12x12, default config, %d jobs" jobs)
+        "7da44938bfdf2e4e313356d5d50d932b"
+        (golden_report ~shape:"12x12" ~cores:96 ~packets:192 ~seed:1
+           ~budget:default ~jobs ()))
+    [ 1; 2 ];
+  check "24 cores on 4x4x2, quick config" "6f9568f1be36c8d1bf1c002fd73387bd"
+    (golden_report ~shape:"4x4x2" ~cores:24 ~packets:64 ~seed:5 ~budget:quick
+       ~jobs:1 ());
+  check "16 cores on a 5x4 torus, quick config"
+    "6c055d232fdcfabce743a1b2f1c15b47"
+    (golden_report ~routing:Routing.Torus_xy ~shape:"5x4" ~cores:16
+       ~packets:48 ~seed:9 ~budget:quick ~jobs:1 ())
+
 let suite =
   ( "decompose",
     [
@@ -316,4 +387,5 @@ let suite =
         test_rejects_oversized_instance;
       Alcotest.test_case "single-region degenerate" `Quick
         test_single_region_degenerate;
+      Alcotest.test_case "golden CWM reports" `Quick test_golden_reports;
     ] )

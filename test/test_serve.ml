@@ -142,7 +142,11 @@ let test_spec_rejections () =
     {|{"id":"x","app":{"builtin":"fig1"},"model":"cwm","incremental":true}|};
   expect_invalid ~needle:"timeout_ms"
     {|{"id":"x","app":{"builtin":"fig1"},"timeout_ms":-5}|};
-  expect_invalid ~needle:"tech" {|{"id":"x","app":{"builtin":"fig1"},"tech":"1um"}|}
+  expect_invalid ~needle:"tech" {|{"id":"x","app":{"builtin":"fig1"},"tech":"1um"}|};
+  expect_invalid ~needle:"field \"routing\": torus-xy routing requires"
+    {|{"id":"x","app":{"builtin":"fig1"},"noc":"2x3","routing":"torus-xy"}|};
+  expect_invalid ~needle:"field \"routing\": torus-yx routing requires"
+    {|{"id":"x","app":{"builtin":"fig1"},"noc":"3x2x2","routing":"torus-yx"}|}
 
 let test_spec_resolve () =
   let spec id app noc =
@@ -570,6 +574,25 @@ let test_engine_rejects_invalid () =
     (find_completed events "after" <> None);
   Engine.close engine
 
+(* A torus on a mesh too narrow to wrap is refused at admission: it is
+   never queued or journaled, so it cannot fail later at run time. *)
+let test_engine_rejects_narrow_torus () =
+  let dir = temp_dir () in
+  let engine, events = make_engine ~config:fast_config dir in
+  let spec =
+    {|{"id":"t","app":{"builtin":"fft8"},"noc":"2x3","routing":"torus-xy","budget":"quick"}|}
+  in
+  (match Engine.submit engine ~source:"torus.json" spec with
+  | Engine.Invalid msg ->
+    Test_util.check_contains ~msg:"names the field" ~needle:"field \"routing\"" msg
+  | _ -> Alcotest.fail "expected Invalid");
+  Alcotest.(check int) "nothing queued" 0 (Engine.queue_depth engine);
+  Engine.run_pending engine;
+  (match !events with
+  | [ Engine.Rejected { source = "torus.json"; _ } ] -> ()
+  | _ -> Alcotest.fail "expected exactly one Rejected event");
+  Engine.close engine
+
 let test_engine_duplicate () =
   let dir = temp_dir () in
   let engine, _events = make_engine ~config:fast_config dir in
@@ -935,4 +958,6 @@ let suite =
       Alcotest.test_case "spool backpressure defers" `Quick test_spool_backpressure;
       Alcotest.test_case "spool reply finality" `Quick test_spool_replies;
       Alcotest.test_case "spool duplicate replays" `Quick test_spool_duplicate_replays;
+      Alcotest.test_case "engine rejects a narrow torus at admission" `Quick
+        test_engine_rejects_narrow_torus;
     ] )

@@ -20,7 +20,20 @@ let test_wrap_requires_large_dims () =
   Alcotest.(check bool) "2-wide torus rejected" true
     (match Link.all ~wrap:true small with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false);
+  (* The CRG walks no route at create time, yet still refuses up front. *)
+  List.iter
+    (fun (shape, routing) ->
+      let mesh = Mesh.of_string shape in
+      Alcotest.check_raises
+        (shape ^ " " ^ Routing.algorithm_to_string routing)
+        (Invalid_argument
+           (Printf.sprintf
+              "Crg.create: %s routing requires both planar dimensions of the \
+               NoC to be at least 3, got %s"
+              (Routing.algorithm_to_string routing) shape))
+        (fun () -> ignore (Crg.create ~routing mesh)))
+    [ ("2x3", Routing.Torus_xy); ("3x2", Routing.Torus_yx); ("3x2x2", Routing.Torus_xy) ]
 
 let test_torus_route_takes_short_way () =
   (* 0 (0,0) -> 3 (3,0): 3 mesh hops east, 1 torus hop west. *)
