@@ -20,21 +20,30 @@ type bound =
   | Exact of evaluation
   | At_least of float
 
+(* Each term is [float bits *. ebit], the float
+   {!Equations.communication_energy} returns, summed in packet order in
+   an unboxed accumulator. *)
 let dynamic_energy ~tech ~crg ~cdcg placement =
   (match Placement.validate ~tiles:(Crg.tile_count crg) placement with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Cost_cdcm: " ^ msg));
-  let packet acc (p : Cdcg.packet) =
+  let table = Cost_cwm.ebit_table ~tech ~crg in
+  let cols = Crg.max_routers crg + 1 in
+  let stacked = Array.length (Crg.tsv_counts crg) > 0 in
+  let packets = cdcg.Cdcg.packets in
+  let acc = ref 0.0 in
+  for i = 0 to Array.length packets - 1 do
+    let p = packets.(i) in
     let src = placement.(p.Cdcg.src) and dst = placement.(p.Cdcg.dst) in
     let routers = Crg.router_count_on_path crg ~src ~dst in
     (* Unreachable pairs of a faulty CRG have no path: the packet is
        dropped by the simulator and spends no link/router energy. *)
-    if routers = 0 then acc
-    else
-      let tsv = Crg.tsv_links_on_path crg ~src ~dst in
-      acc +. Equations.communication_energy ~tsv tech ~routers ~bits:p.Cdcg.bits
-  in
-  Array.fold_left packet 0.0 cdcg.Cdcg.packets
+    if routers > 0 then begin
+      let row = if stacked then Crg.tsv_links_on_path crg ~src ~dst * cols else 0 in
+      acc := !acc +. (float_of_int p.Cdcg.bits *. table.(row + routers))
+    end
+  done;
+  !acc
 
 let evaluation_of_summary ~tech ~params ~crg ~dynamic
     (s : Wormhole.summary) =

@@ -69,7 +69,9 @@ val dynamic_energy :
   float
 (** Equation (4) alone — no simulation needed, since dynamic energy
     only depends on bit traffic and path lengths.  Coincides with the
-    CWM value on the projected CWG. *)
+    CWM value on the projected CWG.  Reads the CRG's per-pair tables, so
+    it builds no route, and allocates only its per-bit energy table
+    ({!Cost_cwm.ebit_table}). *)
 
 val total_energy :
   ?scratch:Nocmap_sim.Wormhole.Scratch.t ->

@@ -5,6 +5,7 @@ module Equations = Nocmap_energy.Equations
 module Noc_params = Nocmap_energy.Noc_params
 module Technology = Nocmap_energy.Technology
 module Wormhole = Nocmap_sim.Wormhole
+module Analytic = Nocmap_sim.Analytic
 module Metrics = Nocmap_obs.Metrics
 
 let m_delta_hits =
@@ -44,7 +45,8 @@ type t = {
   (* Static per-packet structure. *)
   src_ : int array;
   dst_ : int array;
-  comp_ : int array;
+  flits_ : int array;
+  retry_cycles : int;             (* futile-retry span of a severed packet *)
   (* Hot-path tables: per-packet floats/constants hoisted out of the
      overlay loop.  [ebit_tab.(r)] is {!Equations.ebit_path} for [r]
      routers, so [bitsf_.(i) *. ebit_tab.(r)] multiplies the exact same
@@ -58,15 +60,6 @@ type t = {
   ebit_tab : float array;         (* (tsv, routers) -> path energy per bit *)
   ebit_stride : int;              (* 0 on a planar mesh *)
   occ_ : int array;               (* port occupancy, tr + flits*tl *)
-  lat_base_ : int array;          (* compute + tl*flits *)
-  sev_lat_ : int array;           (* compute + futile-retry span *)
-  rtr_tl : int;                   (* tr + tl *)
-  (* Dependences as CSR adjacency plus a topological packet order. *)
-  pred_off : int array;
-  pred : int array;
-  succ_off : int array;
-  succ : int array;
-  order : int array;
   (* Per-core incident packets (each packet appears under src and dst). *)
   core_off : int array;
   core_pk : int array;
@@ -83,7 +76,7 @@ type t = {
   link_load : int array;          (* port-occupancy cycles, tr + flits*tl
                                      per grant, of non-dropped traffic *)
   link_min : int array;           (* earliest launch among a link's packets *)
-  mutable ref_tmax_i : int;       (* argmax of [complete] *)
+  mutable ref_tmax_i : int;       (* argmax of [complete], -1 if no packets *)
   mutable last_eval : Cost_cdcm.evaluation option;
   (* Epoch-stamped candidate overlay: route-level (r_stamp) and
      propagated (p_stamp) per-packet state, plus the recompute worklist
@@ -120,23 +113,24 @@ let validate ~cores ~tiles p =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Cost_cdcm_incremental: " ^ msg)
 
-(* Rebuild the whole reference model from [t.current]:
+let latency t i ~routers =
+  Analytic.latency ~params:t.params ~retry_cycles:t.retry_cycles
+    ~compute:t.cdcg.Cdcg.packets.(i).Cdcg.compute ~flits:t.flits_.(i) ~routers
 
-   - per-packet route state (energy, severed, latency bound), each
-     energy computed exactly as {!Cost_cdcm.dynamic_energy} computes its
-     term (a severed packet contributes [0.]);
-   - drop flags and resolution-time lower bounds propagated in
-     topological order.  Drops mirror the simulator exactly — they are
-     timing-independent: a severed packet is dropped [compute +
-     max_retries*retry_backoff] cycles after it becomes ready, and a
-     packet with a dropped dependence is cascade-dropped the moment its
-     last dependence resolves.  Delivery latency uses the Equation-(8)
-     zero-contention delay, a lower bound on the simulated one;
-   - per-link port demand of the non-dropped packets: each link grants
-     its output port once per packet, occupying it [tr + flits*tl]
-     cycles, the grants serialize, and none can start before its
-     packet's launch (so [link_min] keeps the earliest launch among the
-     link's packets; dropped packets never enter the network). *)
+(* The anchor's contention-free bound from its per-packet latencies,
+   severed flags and routes: completion, drop and launch bounds, and the
+   per-link port demand. *)
+let rebuild_bound t =
+  t.ref_tmax_i <-
+    Analytic.propagate t.cdcg ~lat:t.lat ~severed:t.severed ~complete:t.complete
+      ~dropped:t.dropped ~sent:t.sent;
+  Analytic.link_demand ~occupancy:t.occ_ ~paths:t.ref_path ~dropped:t.dropped
+    ~sent:t.sent ~load:t.link_load ~earliest:t.link_min
+
+(* Rebuild the whole reference model from [t.current]: per-packet
+   routes, energies (each computed exactly as {!Cost_cdcm.dynamic_energy}
+   computes its term, [0.] when severed) and latencies, then the
+   bound. *)
 let refresh t =
   for i = 0 to t.npackets - 1 do
     let path =
@@ -144,10 +138,10 @@ let refresh t =
     in
     t.ref_path.(i) <- path;
     let routers = Array.length path.Crg.routers in
+    t.lat.(i) <- latency t i ~routers;
     if routers = 0 then begin
       t.severed.(i) <- true;
-      t.energy.(i) <- 0.0;
-      t.lat.(i) <- t.sev_lat_.(i)
+      t.energy.(i) <- 0.0
     end
     else begin
       t.severed.(i) <- false;
@@ -160,48 +154,10 @@ let refresh t =
                       * t.ebit_stride)
                       + routers)
       in
-      t.energy.(i) <- t.bitsf_.(i) *. e;
-      t.lat.(i) <- t.lat_base_.(i) + (routers * t.rtr_tl)
+      t.energy.(i) <- t.bitsf_.(i) *. e
     end
   done;
-  let mx = ref min_int and mxi = ref 0 in
-  for k = 0 to t.npackets - 1 do
-    let i = t.order.(k) in
-    let ready = ref 0 and dep_dropped = ref false in
-    for j = t.pred_off.(i) to t.pred_off.(i + 1) - 1 do
-      let p = t.pred.(j) in
-      if t.complete.(p) > !ready then ready := t.complete.(p);
-      if t.dropped.(p) then dep_dropped := true
-    done;
-    t.sent.(i) <- !ready + t.comp_.(i);
-    if !dep_dropped then begin
-      t.dropped.(i) <- true;
-      t.complete.(i) <- !ready
-    end
-    else begin
-      t.dropped.(i) <- t.severed.(i);
-      t.complete.(i) <- !ready + t.lat.(i)
-    end;
-    if t.complete.(i) > !mx then begin
-      mx := t.complete.(i);
-      mxi := i
-    end
-  done;
-  t.ref_tmax_i <- !mxi;
-  Array.fill t.link_load 0 (Array.length t.link_load) 0;
-  Array.fill t.link_min 0 (Array.length t.link_min) max_int;
-  for i = 0 to t.npackets - 1 do
-    if not t.dropped.(i) then begin
-      let path = t.ref_path.(i) in
-      let occ = t.occ_.(i) in
-      let s = t.sent.(i) in
-      Array.iter
-        (fun lid ->
-          t.link_load.(lid) <- t.link_load.(lid) + occ;
-          if s < t.link_min.(lid) then t.link_min.(lid) <- s)
-        path.Crg.links
-    end
-  done
+  rebuild_bound t
 
 let create ?fault_policy ~tech ~params ~crg ~cdcg ~placement () =
   let cores = Cdcg.core_count cdcg and tiles = Crg.tile_count crg in
@@ -212,73 +168,12 @@ let create ?fault_policy ~tech ~params ~crg ~cdcg ~placement () =
     | None -> Wormhole.default_fault_policy
   in
   let npackets = Cdcg.packet_count cdcg in
-  let src_ = Array.make npackets 0
-  and dst_ = Array.make npackets 0
-  and bits_ = Array.make npackets 0
-  and flits_ = Array.make npackets 0
-  and comp_ = Array.make npackets 0 in
-  Array.iteri
-    (fun i (p : Cdcg.packet) ->
-      src_.(i) <- p.Cdcg.src;
-      dst_.(i) <- p.Cdcg.dst;
-      bits_.(i) <- p.Cdcg.bits;
-      flits_.(i) <- Noc_params.flits_of_bits params p.Cdcg.bits;
-      comp_.(i) <- p.Cdcg.compute)
-    cdcg.Cdcg.packets;
-  (* Dependence CSR, both directions. *)
-  let pred_off = Array.make (npackets + 1) 0
-  and succ_off = Array.make (npackets + 1) 0 in
-  List.iter
-    (fun (p, q) ->
-      succ_off.(p) <- succ_off.(p) + 1;
-      pred_off.(q) <- pred_off.(q) + 1)
-    cdcg.Cdcg.deps;
-  let ndeps = List.length cdcg.Cdcg.deps in
-  let to_offsets counts =
-    let acc = ref 0 in
-    for i = 0 to npackets do
-      let c = counts.(i) in
-      counts.(i) <- !acc;
-      acc := !acc + c
-    done
+  let packets = cdcg.Cdcg.packets in
+  let src_ = Array.map (fun (p : Cdcg.packet) -> p.Cdcg.src) packets
+  and dst_ = Array.map (fun (p : Cdcg.packet) -> p.Cdcg.dst) packets
+  and flits_ =
+    Array.map (fun (p : Cdcg.packet) -> Noc_params.flits_of_bits params p.Cdcg.bits) packets
   in
-  to_offsets pred_off;
-  to_offsets succ_off;
-  let pred = Array.make ndeps 0
-  and succ = Array.make ndeps 0 in
-  let pred_fill = Array.copy pred_off
-  and succ_fill = Array.copy succ_off in
-  List.iter
-    (fun (p, q) ->
-      succ.(succ_fill.(p)) <- q;
-      succ_fill.(p) <- succ_fill.(p) + 1;
-      pred.(pred_fill.(q)) <- p;
-      pred_fill.(q) <- pred_fill.(q) + 1)
-    cdcg.Cdcg.deps;
-  (* Kahn topological order (the CDCG is validated acyclic). *)
-  let order = Array.make npackets 0 in
-  let indeg = Array.init npackets (fun i -> pred_off.(i + 1) - pred_off.(i)) in
-  let head = ref 0 and tail = ref 0 in
-  for i = 0 to npackets - 1 do
-    if indeg.(i) = 0 then begin
-      order.(!tail) <- i;
-      incr tail
-    end
-  done;
-  while !head < !tail do
-    let i = order.(!head) in
-    incr head;
-    for j = succ_off.(i) to succ_off.(i + 1) - 1 do
-      let s = succ.(j) in
-      indeg.(s) <- indeg.(s) - 1;
-      if indeg.(s) = 0 then begin
-        order.(!tail) <- s;
-        incr tail
-      end
-    done
-  done;
-  if !tail <> npackets then
-    invalid_arg "Cost_cdcm_incremental.create: dependence graph has a cycle";
   (* Per-core incident packets. *)
   let core_off = Array.make (cores + 1) 0 in
   for i = 0 to npackets - 1 do
@@ -300,9 +195,6 @@ let create ?fault_policy ~tech ~params ~crg ~cdcg ~placement () =
     core_fill.(dst_.(i)) <- core_fill.(dst_.(i)) + 1
   done;
   let slots = Link.slot_count (Crg.mesh crg) in
-  let retry_cycles =
-    fault_policy.Wormhole.max_retries * fault_policy.Wormhole.retry_backoff
-  in
   let tr = params.Noc_params.tr and tl = params.Noc_params.tl in
   let layers = (Crg.mesh crg).Nocmap_noc.Mesh.layers in
   let ebit_stride = if layers = 1 then 0 else Crg.max_routers crg + 1 in
@@ -320,19 +212,13 @@ let create ?fault_policy ~tech ~params ~crg ~cdcg ~placement () =
       npackets;
       src_;
       dst_;
-      comp_;
-      bitsf_ = Array.map float_of_int bits_;
+      flits_;
+      retry_cycles =
+        fault_policy.Wormhole.max_retries * fault_policy.Wormhole.retry_backoff;
+      bitsf_ = Array.map (fun (p : Cdcg.packet) -> float_of_int p.Cdcg.bits) packets;
       ebit_tab;
       ebit_stride;
       occ_ = Array.map (fun f -> tr + (f * tl)) flits_;
-      lat_base_ = Array.init npackets (fun i -> comp_.(i) + (tl * flits_.(i)));
-      sev_lat_ = Array.map (fun c -> c + retry_cycles) comp_;
-      rtr_tl = tr + tl;
-      pred_off;
-      pred;
-      succ_off;
-      succ;
-      order;
       core_off;
       core_pk;
       current = Array.copy placement;
@@ -400,10 +286,10 @@ let overlay_dynamic t ~cand ~moved_n =
         in
         t.c_path.(i) <- path;
         let routers = Array.length path.Crg.routers in
+        t.c_lat.(i) <- latency t i ~routers;
         if routers = 0 then begin
           t.c_severed.(i) <- true;
-          t.c_energy.(i) <- 0.0;
-          t.c_lat.(i) <- t.sev_lat_.(i)
+          t.c_energy.(i) <- 0.0
         end
         else begin
           t.c_severed.(i) <- false;
@@ -415,8 +301,7 @@ let overlay_dynamic t ~cand ~moved_n =
                           * t.ebit_stride)
                           + routers)
           in
-          t.c_energy.(i) <- t.bitsf_.(i) *. e;
-          t.c_lat.(i) <- t.lat_base_.(i) + (routers * t.rtr_tl)
+          t.c_energy.(i) <- t.bitsf_.(i) *. e
         end
       end
     done
@@ -445,17 +330,20 @@ let cone_tmax t ~cut =
   t.queued_n <- 0;
   t.touched_n <- 0;
   let np = t.npackets in
+  let order = t.cdcg.Cdcg.order in
+  let pred_off = t.cdcg.Cdcg.pred_off and pred = t.cdcg.Cdcg.pred in
+  let succ_off = t.cdcg.Cdcg.succ_off and succ = t.cdcg.Cdcg.succ in
   let cmax = ref 0 in
   let k = ref 0 in
   while !k < np && !cmax < cut do
-    let i = t.order.(!k) in
+    let i = order.(!k) in
     incr k;
     if t.q_stamp.(i) = e then begin
       t.queued.(t.queued_n) <- i;
       t.queued_n <- t.queued_n + 1;
       let ready = ref 0 and dep_dropped = ref false in
-      for j = t.pred_off.(i) to t.pred_off.(i + 1) - 1 do
-        let p = t.pred.(j) in
+      for j = pred_off.(i) to pred_off.(i + 1) - 1 do
+        let p = pred.(j) in
         let fresh = t.p_stamp.(p) = e in
         let pc = if fresh then t.c_complete.(p) else t.complete.(p) in
         if pc > !ready then ready := pc;
@@ -471,15 +359,15 @@ let cone_tmax t ~cut =
       t.p_stamp.(i) <- e;
       t.c_complete.(i) <- nc;
       t.c_dropped.(i) <- nd;
-      t.c_sent.(i) <- !ready + t.comp_.(i);
+      t.c_sent.(i) <- !ready + t.cdcg.Cdcg.packets.(i).Cdcg.compute;
       if routed || nd <> t.dropped.(i) then begin
         t.touched.(t.touched_n) <- i;
         t.touched_n <- t.touched_n + 1
       end;
       if nc > !cmax then cmax := nc;
       if nc <> t.complete.(i) || nd <> t.dropped.(i) then
-        for j = t.succ_off.(i) to t.succ_off.(i + 1) - 1 do
-          let s = t.succ.(j) in
+        for j = succ_off.(i) to succ_off.(i + 1) - 1 do
+          let s = succ.(j) in
           if t.q_stamp.(s) <> e then t.q_stamp.(s) <- e
         done
     end
@@ -553,16 +441,7 @@ let link_bound t =
       done
     end
   done;
-  let lmax = ref 0 in
-  for lid = 0 to slots - 1 do
-    let load = ls.(lid) in
-    if load > 0 then begin
-      let mn = lm.(lid) in
-      let b = if mn = max_int then load else mn + load in
-      if b > !lmax then lmax := b
-    end
-  done;
-  !lmax
+  Analytic.link_bound ~load:ls ~earliest:lm
 
 let memo_hit t ev =
   t.n_queries <- t.n_queries + 1;
@@ -571,12 +450,9 @@ let memo_hit t ev =
   Cost_cdcm.Exact ev
 
 (* Re-anchor at a candidate whose overlay is fully populated (all three
-   query stages ran): adopt the overlay values instead of rebuilding
-   the model with [refresh].  The adopted values are exactly what
-   [refresh] would recompute — packets outside the cone are unaffected
-   by the diff, and [link_scratch] holds the candidate's exact port
-   demand — except [link_min], whose differential form may keep stale
-   (weaker-only) minima; it is the one piece rebuilt exactly. *)
+   query stages ran): adopt the re-routed packets' overlay state instead
+   of re-routing every packet as [refresh] does, then rebuild the bound
+   from it. *)
 let adopt_overlay t ~cand ev =
   let e = t.epoch in
   for m = 0 to t.queued_n - 1 do
@@ -586,28 +462,10 @@ let adopt_overlay t ~cand ev =
       t.lat.(i) <- t.c_lat.(i);
       t.severed.(i) <- t.c_severed.(i);
       t.ref_path.(i) <- t.c_path.(i)
-    end;
-    t.complete.(i) <- t.c_complete.(i);
-    t.dropped.(i) <- t.c_dropped.(i);
-    t.sent.(i) <- t.c_sent.(i)
-  done;
-  Array.blit cand 0 t.current 0 t.cores;
-  Array.blit t.link_scratch 0 t.link_load 0 (Array.length t.link_load);
-  Array.fill t.link_min 0 (Array.length t.link_min) max_int;
-  let mx = ref min_int and mxi = ref 0 in
-  for i = 0 to t.npackets - 1 do
-    if t.complete.(i) > !mx then begin
-      mx := t.complete.(i);
-      mxi := i
-    end;
-    if not t.dropped.(i) then begin
-      let s = t.sent.(i) in
-      Array.iter
-        (fun lid -> if s < t.link_min.(lid) then t.link_min.(lid) <- s)
-        t.ref_path.(i).Crg.links
     end
   done;
-  t.ref_tmax_i <- !mxi;
+  Array.blit cand 0 t.current 0 t.cores;
+  rebuild_bound t;
   t.last_eval <- Some ev
 
 let bound_of_candidate t ~cutoff ~cand ~moved_n =

@@ -19,7 +19,9 @@
       faults) are re-propagated only through the dependence cone of the
       affected packets, and combined with a per-link port-serialization
       bound (earliest launch plus total [tr + flits*tl] occupancy)
-      maintained by differential updates.  Both are sound lower bounds
+      maintained by differential updates.  The anchor's model is the
+      bound of {!Nocmap_sim.Analytic}, built with its kernels, so both
+      define one contention-free bound.  Both are sound lower bounds
       on the simulated [texec], so the implied total energy is a sound
       lower bound on the true Equation-(10) cost;
     - a candidate the bound cannot reject {b falls back to the full
@@ -72,9 +74,11 @@ val create :
   placement:Placement.t ->
   unit ->
   t
-(** Takes ownership of a copy of [placement].  Builds the dependence
-    CSR, the topological order and the per-core incident-packet index;
-    no simulation runs until a cost is actually requested.
+(** Takes ownership of a copy of [placement].  Builds the per-core
+    incident-packet index and the bound model at [placement]; the
+    dependence DAG is the CDCG's own (see {!Nocmap_model.Cdcg.t}), so
+    nothing is rebuilt from the dependence list.  No simulation runs
+    until a cost is actually requested.
     @raise Invalid_argument on an invalid placement. *)
 
 val bound_for : t -> cutoff:float -> Placement.t -> Cost_cdcm.bound

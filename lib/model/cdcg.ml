@@ -11,6 +11,11 @@ type t = {
   core_names : string array;
   packets : packet array;
   deps : (int * int) list;
+  pred_off : int array;
+  pred : int array;
+  succ_off : int array;
+  succ : int array;
+  order : int array;
 }
 
 let duplicate_name names =
@@ -65,18 +70,71 @@ let validate ~core_names ~packets ~deps =
         in
         (match bad_dep with
         | Some (p, q) -> error "dependence (%d, %d): packet index out of range" p q
-        | None ->
-          let g = to_digraph_raw packets deps in
-          (match Nocmap_graph.Topo.cycle g with
-          | Some cyc ->
-            let names = List.map (fun i -> packets.(i).label) cyc in
-            error "dependence cycle: %s" (String.concat " -> " names)
-          | None -> Ok ())))
+        | None -> Ok ()))
+
+(* Compressed adjacency of [deps] grouped by [key], each row in [deps]
+   order: row [k] is [adj.(off.(k)) .. adj.(off.(k + 1) - 1)]. *)
+let csr ~npackets ~key ~value deps =
+  let off = Array.make (npackets + 1) 0 in
+  List.iter (fun d -> off.(key d + 1) <- off.(key d + 1) + 1) deps;
+  for k = 1 to npackets do
+    off.(k) <- off.(k) + off.(k - 1)
+  done;
+  let adj = Array.make off.(npackets) 0 in
+  let fill = Array.sub off 0 npackets in
+  List.iter
+    (fun d ->
+      let k = key d in
+      adj.(fill.(k)) <- value d;
+      fill.(k) <- fill.(k) + 1)
+    deps;
+  (off, adj)
+
+(* Kahn's algorithm with a FIFO queue seeded with the dependence-free
+   packets in ascending index; [None] when a cycle leaves packets
+   unordered. *)
+let kahn_order ~npackets ~pred_off ~succ_off ~succ =
+  let order = Array.make npackets 0 in
+  let indeg = Array.init npackets (fun i -> pred_off.(i + 1) - pred_off.(i)) in
+  let tail = ref 0 in
+  for i = 0 to npackets - 1 do
+    if indeg.(i) = 0 then begin
+      order.(!tail) <- i;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let i = order.(!head) in
+    incr head;
+    for j = succ_off.(i) to succ_off.(i + 1) - 1 do
+      let q = succ.(j) in
+      indeg.(q) <- indeg.(q) - 1;
+      if indeg.(q) = 0 then begin
+        order.(!tail) <- q;
+        incr tail
+      end
+    done
+  done;
+  if !tail = npackets then Some order else None
 
 let create ~name ~core_names ~packets ~deps =
   match validate ~core_names ~packets ~deps with
   | Error _ as e -> e
-  | Ok () -> Ok { name; core_names; packets; deps }
+  | Ok () -> (
+    let npackets = Array.length packets in
+    let pred_off, pred = csr ~npackets ~key:snd ~value:fst deps in
+    let succ_off, succ = csr ~npackets ~key:fst ~value:snd deps in
+    match kahn_order ~npackets ~pred_off ~succ_off ~succ with
+    | Some order ->
+      Ok { name; core_names; packets; deps; pred_off; pred; succ_off; succ; order }
+    | None ->
+      let cyc =
+        Option.value ~default:[]
+          (Nocmap_graph.Topo.cycle (to_digraph_raw packets deps))
+      in
+      let names = List.map (fun i -> packets.(i).label) cyc in
+      Error ("dependence cycle: " ^ String.concat " -> " names))
 
 let create_exn ~name ~core_names ~packets ~deps =
   match create ~name ~core_names ~packets ~deps with
@@ -108,14 +166,6 @@ let packets_from t ~src ~dst =
     (List.init (packet_count t) Fun.id)
 
 let to_digraph t = to_digraph_raw t.packets t.deps
-
-let critical_path_cycles t =
-  match
-    Nocmap_graph.Topo.longest_path_lengths (to_digraph t) ~weight:(fun i ->
-        t.packets.(i).compute)
-  with
-  | None -> 0
-  | Some dist -> Array.fold_left max 0 dist
 
 let pp_packet ~core_names ppf p =
   Format.fprintf ppf "%s: %d bits %s->%s after %d cycles" p.label p.bits

@@ -20,7 +20,28 @@ type t = private {
   core_names : string array;
   packets : packet array;
   deps : (int * int) list;  (** [(p, q)]: packet [q] waits for packet [p]. *)
+  pred_off : int array;     (** [packet_count + 1] row offsets into [pred]. *)
+  pred : int array;         (** Predecessor rows, see below. *)
+  succ_off : int array;     (** [packet_count + 1] row offsets into [succ]. *)
+  succ : int array;         (** Successor rows, see below. *)
+  order : int array;        (** Topological packet order, see below. *)
 }
+(** The last five fields are the dependence DAG of [deps], built once by
+    {!create} and shared by every evaluator of the CDCG (the wormhole
+    pump, the analytic bound, the incremental evaluator); they are
+    read-only, never mutate them.
+
+    - [pred.(pred_off.(i)) .. pred.(pred_off.(i + 1) - 1)] are the
+      packets [i] waits for, and [succ.(succ_off.(i)) ..
+      succ.(succ_off.(i + 1) - 1)] the packets waiting for [i]; each row
+      lists its dependences in [deps] order, a repeated dependence once
+      per occurrence.
+    - [order] holds every packet once, each after all its predecessors:
+      Kahn's algorithm with a FIFO queue seeded with the
+      dependence-free packets in ascending index.  The exact order is
+      part of the contract, not only its topological property: the
+      incremental bound stops its walk part-way along it, and the
+      partial maximum it reports depends on where it stopped. *)
 
 val create :
   name:string ->
@@ -70,9 +91,5 @@ val packets_from : t -> src:int -> dst:int -> int list
 
 val to_digraph : t -> Nocmap_graph.Digraph.t
 (** Dependence graph over packet indices; edge labels are 0. *)
-
-val critical_path_cycles : t -> int
-(** Lower bound on execution time ignoring all communication: the
-    longest chain of computation times through the dependence DAG. *)
 
 val pp_packet : core_names:string array -> Format.formatter -> packet -> unit

@@ -1,15 +1,76 @@
 module Crg = Nocmap_noc.Crg
-module Mesh = Nocmap_noc.Mesh
 module Link = Nocmap_noc.Link
 module Cdcg = Nocmap_model.Cdcg
 module Noc_params = Nocmap_energy.Noc_params
-module Topo = Nocmap_graph.Topo
 
 type estimate = {
   critical_path_cycles : int;
   link_load_cycles : int;
   lower_bound_cycles : int;
 }
+
+let latency ~params ~retry_cycles ~compute ~flits ~routers =
+  if routers = 0 then compute + retry_cycles
+  else compute + Noc_params.total_delay_cycles params ~routers ~flits
+
+(* Drop flags are timing-independent, so they are resolved exactly: a
+   packet on a severed route is dropped after its futile retries, and a
+   packet with a dropped dependence is cascade-dropped the moment its
+   last dependence resolves — it never enters the network.  On a
+   fault-free CRG nothing is severed and this is the plain Equation (8)
+   critical path. *)
+let propagate (cdcg : Cdcg.t) ~lat ~severed ~complete ~dropped ~sent =
+  let order = cdcg.Cdcg.order in
+  let pred_off = cdcg.Cdcg.pred_off and pred = cdcg.Cdcg.pred in
+  let latest = ref min_int and last = ref (-1) in
+  for k = 0 to Array.length order - 1 do
+    let i = order.(k) in
+    let ready = ref 0 and dep_dropped = ref false in
+    for j = pred_off.(i) to pred_off.(i + 1) - 1 do
+      let p = pred.(j) in
+      if complete.(p) > !ready then ready := complete.(p);
+      if dropped.(p) then dep_dropped := true
+    done;
+    sent.(i) <- !ready + cdcg.Cdcg.packets.(i).Cdcg.compute;
+    if !dep_dropped then begin
+      dropped.(i) <- true;
+      complete.(i) <- !ready
+    end
+    else begin
+      dropped.(i) <- severed.(i);
+      complete.(i) <- !ready + lat.(i)
+    end;
+    if complete.(i) > !latest then begin
+      latest := complete.(i);
+      last := i
+    end
+  done;
+  !last
+
+let link_demand ~occupancy ~paths ~dropped ~sent ~load ~earliest =
+  Array.fill load 0 (Array.length load) 0;
+  Array.fill earliest 0 (Array.length earliest) max_int;
+  for i = 0 to Array.length paths - 1 do
+    if not dropped.(i) then begin
+      let occ = occupancy.(i) and s = sent.(i) in
+      let links = paths.(i).Crg.links in
+      for k = 0 to Array.length links - 1 do
+        let lid = links.(k) in
+        load.(lid) <- load.(lid) + occ;
+        if s < earliest.(lid) then earliest.(lid) <- s
+      done
+    end
+  done
+
+let link_bound ~load ~earliest =
+  let bound = ref 0 in
+  for lid = 0 to Array.length load - 1 do
+    if load.(lid) > 0 then begin
+      let b = earliest.(lid) + load.(lid) in
+      if b > !bound then bound := b
+    end
+  done;
+  !bound
 
 let validate_placement ~tiles ~cores placement =
   if Array.length placement <> cores then
@@ -26,93 +87,36 @@ let validate_placement ~tiles ~cores placement =
 let estimate ?fault_policy ~params ~crg ~placement (cdcg : Cdcg.t) =
   validate_placement ~tiles:(Crg.tile_count crg) ~cores:(Cdcg.core_count cdcg)
     placement;
-  let policy =
-    match fault_policy with
-    | Some p -> p
-    | None -> Wormhole.default_fault_policy
-  in
+  let policy = Option.value fault_policy ~default:Wormhole.default_fault_policy in
   let retry_cycles = policy.Wormhole.max_retries * policy.Wormhole.retry_backoff in
-  let npackets = Cdcg.packet_count cdcg in
-  let path_of i =
-    let p = cdcg.Cdcg.packets.(i) in
-    Crg.path crg ~src:placement.(p.Cdcg.src) ~dst:placement.(p.Cdcg.dst)
+  let packets = cdcg.Cdcg.packets in
+  let n = Array.length packets in
+  let paths =
+    Array.map
+      (fun (p : Cdcg.packet) ->
+        Crg.path crg ~src:placement.(p.Cdcg.src) ~dst:placement.(p.Cdcg.dst))
+      packets
   in
-  let flits_of i = Noc_params.flits_of_bits params cdcg.Cdcg.packets.(i).Cdcg.bits in
-  (* Drop flags are timing-independent, so they can be resolved exactly:
-     a packet on a severed route (empty path on a faulty CRG) is dropped
-     after its futile retries, and a packet with a dropped dependence is
-     cascade-dropped the moment its last dependence resolves — it never
-     enters the network.  On a fault-free CRG nothing is severed and the
-     propagation reduces to the plain Equation-(8) critical path. *)
-  let dropped = Array.make npackets false in
-  (* [sent i] is a lower bound on the cycle the packet's header can
-     first enter the network (ready + compute), needed by the link
-     bound below. *)
-  let sent = Array.make npackets 0 in
-  (* Critical path: resolution-time propagation with eq (8) delays and
-     no contention anywhere (exact retry accounting for drops). *)
-  let critical_path_cycles =
-    match Topo.topological_order (Cdcg.to_digraph cdcg) with
-    | None -> 0 (* validation guarantees a DAG; defensive *)
-    | Some order ->
-      let resolved = Array.make npackets 0 in
-      let relax i =
-        let ready = ref 0 and dep_dropped = ref false in
-        List.iter
-          (fun p ->
-            if resolved.(p) > !ready then ready := resolved.(p);
-            if dropped.(p) then dep_dropped := true)
-          (Cdcg.predecessors cdcg i);
-        if !dep_dropped then begin
-          dropped.(i) <- true;
-          resolved.(i) <- !ready
-        end
-        else begin
-          let launch = !ready + cdcg.Cdcg.packets.(i).Cdcg.compute in
-          sent.(i) <- launch;
-          let routers = Array.length (path_of i).Crg.routers in
-          let transfer =
-            if routers = 0 then begin
-              dropped.(i) <- true;
-              retry_cycles
-            end
-            else Noc_params.total_delay_cycles params ~routers ~flits:(flits_of i)
-          in
-          resolved.(i) <- launch + transfer
-        end
-      in
-      List.iter relax order;
-      Array.fold_left max 0 resolved
+  let flits =
+    Array.map (fun (p : Cdcg.packet) -> Noc_params.flits_of_bits params p.Cdcg.bits) packets
   in
-  (* Link-load bound: each traversal of a link grants its output port
-     exactly once, occupying it for [tr + flits*tl] cycles, and the
-     grants serialize; no flit can reach the link before its packet
-     launches.  So for every link,
-     [texec >= min_member sent + sum_member (tr + flits*tl)].  Dropped
-     packets never occupy a link. *)
-  let mesh = Crg.mesh crg in
-  let tr = params.Noc_params.tr and tl = params.Noc_params.tl in
-  let slots = Link.slot_count mesh in
-  let demand = Array.make slots 0 in
-  let earliest = Array.make slots max_int in
-  for i = 0 to npackets - 1 do
-    if not dropped.(i) then begin
-      let occupancy = tr + (flits_of i * tl) in
-      Array.iter
-        (fun lid ->
-          demand.(lid) <- demand.(lid) + occupancy;
-          if sent.(i) < earliest.(lid) then earliest.(lid) <- sent.(i))
-        (path_of i).Crg.links
-    end
-  done;
-  let link_load_cycles = ref 0 in
-  for lid = 0 to slots - 1 do
-    if demand.(lid) > 0 then begin
-      let bound = earliest.(lid) + demand.(lid) in
-      if bound > !link_load_cycles then link_load_cycles := bound
-    end
-  done;
-  let link_load_cycles = !link_load_cycles in
+  let severed = Array.map (fun path -> Array.length path.Crg.routers = 0) paths in
+  let lat =
+    Array.init n (fun i ->
+        latency ~params ~retry_cycles ~compute:packets.(i).Cdcg.compute
+          ~flits:flits.(i) ~routers:(Array.length paths.(i).Crg.routers))
+  in
+  let complete = Array.make n 0 and dropped = Array.make n false in
+  let sent = Array.make n 0 in
+  let last = propagate cdcg ~lat ~severed ~complete ~dropped ~sent in
+  let critical_path_cycles = if last < 0 then 0 else complete.(last) in
+  let occupancy =
+    Array.map (fun f -> params.Noc_params.tr + (f * params.Noc_params.tl)) flits
+  in
+  let slots = Link.slot_count (Crg.mesh crg) in
+  let load = Array.make slots 0 and earliest = Array.make slots max_int in
+  link_demand ~occupancy ~paths ~dropped ~sent ~load ~earliest;
+  let link_load_cycles = link_bound ~load ~earliest in
   {
     critical_path_cycles;
     link_load_cycles;

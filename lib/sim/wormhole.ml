@@ -125,44 +125,7 @@ module Scratch = struct
     router_ann : Trace.annotation list array;     (* per tile *)
     link_ann : Trace.annotation list array;       (* per port *)
     events : Int_heap.t;
-    (* Dependence adjacency, flattened to int arrays so the pump walks
-       successors without list allocation.  Cached per CDCG (physical
-       equality): a scratch may legally be reused with any CDCG of the
-       same packet count, so a swap rebuilds it. *)
-    mutable dep_graph_for : Cdcg.t;
-    mutable successors : int array array;         (* per packet *)
-    mutable start_packets : int array;            (* no dependences *)
   }
-
-  let build_dep_graph (cdcg : Cdcg.t) =
-    let n = Cdcg.packet_count cdcg in
-    let out_degree = Array.make n 0 in
-    let has_pred = Array.make n false in
-    List.iter
-      (fun (p, q) ->
-        out_degree.(p) <- out_degree.(p) + 1;
-        has_pred.(q) <- true)
-      cdcg.Cdcg.deps;
-    let successors = Array.init n (fun i -> Array.make out_degree.(i) 0) in
-    let fill = Array.make n 0 in
-    List.iter
-      (fun (p, q) ->
-        successors.(p).(fill.(p)) <- q;
-        fill.(p) <- fill.(p) + 1)
-      cdcg.Cdcg.deps;
-    let starts = ref [] in
-    for i = n - 1 downto 0 do
-      if not has_pred.(i) then starts := i :: !starts
-    done;
-    (successors, Array.of_list !starts)
-
-  let refresh_dep_graph t (cdcg : Cdcg.t) =
-    if not (t.dep_graph_for == cdcg) then begin
-      let successors, start_packets = build_dep_graph cdcg in
-      t.successors <- successors;
-      t.start_packets <- start_packets;
-      t.dep_graph_for <- cdcg
-    end
 
   let create ~crg (cdcg : Cdcg.t) =
     let mesh = Crg.mesh crg in
@@ -176,13 +139,9 @@ module Scratch = struct
             slots; both must be <= %d)"
            packets slots max_key);
     let dummy_path = Crg.path crg ~src:0 ~dst:0 in
-    let successors, start_packets = build_dep_graph cdcg in
     {
       tiles;
       slots;
-      dep_graph_for = cdcg;
-      successors;
-      start_packets;
       states =
         Array.init packets (fun _ ->
             {
@@ -268,7 +227,6 @@ let validate_placement ~(scratch : Scratch.t) ~cores placement =
    with no heap allocation once the arrays have reached working size. *)
 let reset ~(scratch : Scratch.t) ~params ~crg ~placement (cdcg : Cdcg.t) =
   let s = scratch in
-  Scratch.refresh_dep_graph s cdcg;
   Int_heap.clear s.Scratch.events;
   Array.fill s.Scratch.busy 0 s.Scratch.slots false;
   Array.iter Intqueue.clear s.Scratch.queues;
@@ -287,7 +245,7 @@ let reset ~(scratch : Scratch.t) ~params ~crg ~placement (cdcg : Cdcg.t) =
            hops max_hops);
     st.path <- path;
     st.flits <- Noc_params.flits_of_bits params p.Cdcg.bits;
-    st.remaining_deps <- 0;
+    st.remaining_deps <- cdcg.Cdcg.pred_off.(i + 1) - cdcg.Cdcg.pred_off.(i);
     st.ready <- 0;
     st.sent <- 0;
     st.delivered <- -1;
@@ -302,12 +260,7 @@ let reset ~(scratch : Scratch.t) ~params ~crg ~placement (cdcg : Cdcg.t) =
       Array.fill st.arrivals 0 hops (-1);
       Array.fill st.starts 0 hops (-1)
     end
-  done;
-  List.iter
-    (fun (_, q) ->
-      let st = s.Scratch.states.(q) in
-      st.remaining_deps <- st.remaining_deps + 1)
-    cdcg.Cdcg.deps
+  done
 
 (* The discrete-event pump.  Fills [scratch.states]; returns
    [`Completed] or, when [cutoff] was exceeded with packets still in
@@ -369,10 +322,10 @@ let run_core ~trace ~params ~crg ~placement ~(scratch : Scratch.t) ~cutoff ~poli
      pumped as events, and the pump always terminates.  All updates are
      monotonic ([ready] via max, counters via decrement), so the eager
      cascade is order-independent and deterministic. *)
+  let succ_off = cdcg.Cdcg.succ_off and succ = cdcg.Cdcg.succ in
   let rec resolve_deps packet time ~was_dropped =
-    let succ = s.Scratch.successors.(packet) in
-    for i = 0 to Array.length succ - 1 do
-      let q = succ.(i) in
+    for j = succ_off.(packet) to succ_off.(packet + 1) - 1 do
+      let q = succ.(j) in
       let sq = states.(q) in
       sq.remaining_deps <- sq.remaining_deps - 1;
       sq.ready <- max sq.ready time;
@@ -493,10 +446,10 @@ let run_core ~trace ~params ~crg ~placement ~(scratch : Scratch.t) ~cutoff ~poli
       grant port (waiting_packet w) (waiting_hop w) (max time (waiting_arrival w))
     end
   in
-  (* Start-dependent packets launch at cycle 0. *)
-  let starts = s.Scratch.start_packets in
-  for i = 0 to Array.length starts - 1 do
-    launch starts.(i) 0
+  (* Start-dependent packets launch at cycle 0, in ascending index. *)
+  let pred_off = cdcg.Cdcg.pred_off in
+  for i = 0 to n - 1 do
+    if pred_off.(i + 1) = pred_off.(i) then launch i 0
   done;
   (* Pump until every packet has been delivered (remaining events are
      port releases that cannot affect the outcome), the heap runs dry

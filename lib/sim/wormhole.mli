@@ -62,7 +62,10 @@ module Scratch : sig
   val create : crg:Nocmap_noc.Crg.t -> Nocmap_model.Cdcg.t -> t
   (** [create ~crg cdcg] sizes an arena for simulating [cdcg] (or any
       CDCG with the same packet count) on [crg] (or any CRG with the
-      same tile count).
+      same tile count).  The arena holds no dependence structure: each
+      run reads the DAG of the CDCG it is given (see
+      {!Nocmap_model.Cdcg.t}), so switching to another CDCG of the same
+      packet count rebuilds nothing.
       @raise Invalid_argument when the instance exceeds the packed-event
       encoding limits (65535 packets or link slots). *)
 end

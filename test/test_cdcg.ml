@@ -31,7 +31,24 @@ let test_adjacency () =
   let t = simple () in
   Alcotest.(check (list int)) "preds of p1" [ 0 ] (Cdcg.predecessors t 1);
   Alcotest.(check (list int)) "succs of p0" [ 1; 2 ] (List.sort compare (Cdcg.successors t 0));
-  Alcotest.(check (list int)) "start packets" [ 0 ] (Cdcg.start_packets t)
+  Alcotest.(check (list int)) "start packets" [ 0 ] (Cdcg.start_packets t);
+  (* The shared DAG: rows in [deps] order, and the FIFO Kahn order
+     seeded with p0, p3, p4 that the incremental bound's early exit
+     depends on. *)
+  let dag =
+    Cdcg.create_exn ~name:"dag" ~core_names:[| "a"; "b" |]
+      ~packets:
+        (Array.init 5 (fun i ->
+             packet ~src:(i mod 2) ~dst:(1 - (i mod 2)) ~compute:1 ~bits:1 ()))
+      ~deps:[ (4, 1); (0, 2); (4, 2) ]
+  in
+  let row off adj i = Array.to_list (Array.sub adj off.(i) (off.(i + 1) - off.(i))) in
+  Alcotest.(check (list int)) "preds of p2" [ 0; 4 ]
+    (row dag.Cdcg.pred_off dag.Cdcg.pred 2);
+  Alcotest.(check (list int)) "succs of p4" [ 1; 2 ]
+    (row dag.Cdcg.succ_off dag.Cdcg.succ 4);
+  Alcotest.(check (array int)) "topological order" [| 0; 3; 4; 1; 2 |]
+    dag.Cdcg.order
 
 let test_packets_from () =
   let t = simple () in
@@ -72,10 +89,6 @@ let test_to_digraph () =
   Alcotest.(check int) "vertices" 3 (Digraph.vertex_count g);
   Alcotest.(check bool) "edge 0->1" true (Digraph.mem_edge g ~src:0 ~dst:1)
 
-let test_critical_path () =
-  (* chain p0 -> p1: 5 + 3; p0 -> p2: 5 + 7 = 12 *)
-  Alcotest.(check int) "critical path" 12 (Cdcg.critical_path_cycles (simple ()))
-
 let test_create_exn () =
   Alcotest.check_raises "create_exn propagates"
     (Invalid_argument "Cdcg.create_exn: CDCG has no cores") (fun () ->
@@ -90,6 +103,5 @@ let suite =
       Alcotest.test_case "validation errors" `Quick test_validation_errors;
       Alcotest.test_case "cycle rejected" `Quick test_cycle_rejected;
       Alcotest.test_case "to_digraph" `Quick test_to_digraph;
-      Alcotest.test_case "critical path" `Quick test_critical_path;
       Alcotest.test_case "create_exn" `Quick test_create_exn;
     ] )

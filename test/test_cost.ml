@@ -265,6 +265,33 @@ let test_cwm_unreachable_pair_rejected () =
     (fun () ->
       ignore (Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg:Fig1.cwg [| 4; 5; 6 |]))
 
+(* Words one warm CDCM cost call allocates on the 8x8 Table 2
+   application (344 packets): the arena simulation's closures and
+   result records plus the per-bit energy table, about 280.  A fold
+   that boxes its accumulator and each term costs eight words per
+   packet, about 2 950 in all, so the ceiling of two words per packet
+   plus 512 fails if the energy sum allocates per packet again. *)
+let test_cdcm_cost_allocation () =
+  let mesh, cdcg = List.nth (Nocmap_tgff.Suite.instances ~seed:2005) 15 in
+  let crg = Crg.create mesh in
+  let params = Noc_params.default_16bit and tech = Technology.t007 in
+  let placement =
+    Mapping.Placement.random (Rng.create ~seed:1) ~cores:(Cdcg.core_count cdcg)
+      ~tiles:(Crg.tile_count crg)
+  in
+  let scratch = Nocmap_sim.Wormhole.Scratch.create ~crg cdcg in
+  let cost () =
+    ignore
+      (Sys.opaque_identity
+         (Mapping.Cost_cdcm.total_energy ~scratch ~tech ~params ~crg ~cdcg placement))
+  in
+  cost ();
+  let words = Test_util.words_allocated cost in
+  let ceiling = float_of_int ((2 * Cdcg.packet_count cdcg) + 512) in
+  Alcotest.(check bool)
+    (Printf.sprintf "cost call allocates %.0f words, at most %.0f" words ceiling)
+    true (words <= ceiling)
+
 let suite =
   ( "cost",
     [
@@ -280,4 +307,5 @@ let suite =
         test_cwm_unreachable_pair_rejected;
       QCheck_alcotest.to_alcotest prop_cwm_fold_bit_identical;
       QCheck_alcotest.to_alcotest prop_communications_scan_volume;
+      Alcotest.test_case "cdcm cost allocation" `Quick test_cdcm_cost_allocation;
     ] )

@@ -83,26 +83,6 @@ let prop_metrics_do_not_change_search =
       && off.Mapping.Objective.cost = on_.Mapping.Objective.cost
       && off.Mapping.Objective.evaluations = on_.Mapping.Objective.evaluations)
 
-let prop_contention_free_matches_analytic =
-  (* Whenever the simulator reports zero contention the analytic
-     critical path is exact, not just a lower bound. *)
-  QCheck2.Test.make ~name:"contention-free sim equals analytic critical path"
-    ~count:(Test_util.prop_count 200) gen_scenario (fun (mesh, cdcg, placement) ->
-      let crg = Crg.create mesh in
-      let s = Wormhole.run_summary ~params ~crg ~placement cdcg in
-      s.Wormhole.contention_cycles > 0
-      ||
-      let est = Analytic.estimate ~params ~crg ~placement cdcg in
-      s.Wormhole.texec_cycles = est.Analytic.critical_path_cycles)
-
-let prop_analytic_is_lower_bound =
-  QCheck2.Test.make ~name:"analytic estimate never exceeds simulated texec"
-    ~count:(Test_util.prop_count 100) gen_scenario (fun (mesh, cdcg, placement) ->
-      let crg = Crg.create mesh in
-      let s = Wormhole.run_summary ~params ~crg ~placement cdcg in
-      let est = Analytic.estimate ~params ~crg ~placement cdcg in
-      est.Analytic.lower_bound_cycles <= s.Wormhole.texec_cycles)
-
 let prop_pruned_sa_cost_consistent =
   (* Cutoff pruning may only reject candidates; the cost reported for
      the returned placement must equal an exact re-evaluation. *)
@@ -149,16 +129,26 @@ module Routing = Nocmap_noc.Routing
 module Cost_cdcm = Mapping.Cost_cdcm
 module Inc = Mapping.Cost_cdcm_incremental
 
-(* Like [gen_scenario], but over one- and two-layer meshes under all
-   four routings (torus only when both planar sides are at least 3), and
-   half the scenarios run on a CRG with a failed link, exercising the
-   TSV-priced energy table and the severed/cascade-drop accounting of
-   the incremental evaluator. *)
+(* Like [gen_scenario], but over one- and two-layer meshes up to 4x4
+   under all four routings (torus only when both planar sides are at
+   least 3), flit widths of 1, 8 or 16 bits, bounded 1- to 4-flit
+   buffers on a quarter of the draws, and four fault kinds: none, one
+   or two failed links, or one failed router.  One failed link never
+   severs a pair, because the reroute always finds a detour; a failed
+   router severs every pair that starts or ends on it, so the packets
+   of a core placed there exercise the severed and cascade-drop
+   accounting ([prop_fault_mix_drops] checks that some draws drop
+   packets).  The stacked draws exercise the TSV-priced energy
+   table.  Bounded buffers can deadlock on a detoured route: two failed
+   links on a small mesh closed a cycle of waits in 4 of 200 000 draws,
+   which leaves no texec to check.  The incremental walks, which
+   simulate dozens of placements per draw, keep the drawn flit width
+   with unbounded buffers, where the simulator cannot deadlock. *)
 let gen_cdcm_scenario =
   QCheck2.Gen.(
     let* seed = int_range 0 1_000_000 in
     let* cols = int_range 2 4 in
-    let* rows = int_range 2 3 in
+    let* rows = int_range 2 4 in
     let* layers = int_range 1 2 in
     let* routing =
       oneofl
@@ -166,27 +156,82 @@ let gen_cdcm_scenario =
            Routing.[ Xy; Yx; Torus_xy; Torus_yx ]
          else Routing.[ Xy; Yx ])
     in
-    let* faulty = bool in
+    let* fault_kind = int_range 0 3 in
+    let* flit_bits = oneofl [ 1; 8; 16 ] in
+    let* buffering =
+      frequency
+        [
+          (3, return Noc_params.Unbounded);
+          (1, map (fun c -> Noc_params.Bounded c) (int_range 1 4));
+        ]
+    in
     let mesh = Mesh.create3 ~cols ~rows ~layers in
     let tiles = Mesh.tile_count mesh in
     let rng = Rng.create ~seed in
     let crg =
       let wrap = Routing.uses_wrap_links routing in
-      if faulty then
-        match Fault.sample_link_scenarios ~wrap ~rng ~k:1 ~count:1 mesh with
+      match fault_kind with
+      | 0 -> Crg.create ~routing mesh
+      | 3 ->
+        Crg.create ~routing
+          ~faults:(Fault.make ~wrap ~routers:[ Rng.int rng tiles ] mesh)
+          mesh
+      | k -> (
+        match Fault.sample_link_scenarios ~wrap ~rng ~k ~count:1 mesh with
         | [ faults ] -> Crg.create ~routing ~faults mesh
-        | _ -> Crg.create ~routing mesh
-      else Crg.create ~routing mesh
+        | _ -> Crg.create ~routing mesh)
     in
-    let* cores = int_range 2 (min 7 tiles) in
-    let* packets = int_range 1 30 in
+    let* cores = int_range 2 (min 8 tiles) in
+    let* packets = int_range 1 40 in
     let spec =
       Generator.default_spec ~name:"cdcm-diff" ~cores ~packets
         ~total_bits:(max packets (packets * 60))
     in
     let cdcg = Generator.generate rng spec in
     let placement = Mapping.Placement.random rng ~cores ~tiles in
-    return (crg, cdcg, placement, seed))
+    let params = Noc_params.make ~flit_bits ~buffering () in
+    return (params, crg, cdcg, placement, seed))
+
+(* The drawn scenario's simulation, [None] when it deadlocks. *)
+let simulate (params, crg, cdcg, placement, _) =
+  match Wormhole.run_summary ~params ~crg ~placement cdcg with
+  | s -> Some s
+  | exception Wormhole.Deadlock _ -> None
+
+let unbounded (params : Noc_params.t) =
+  Noc_params.make ~flit_bits:params.Noc_params.flit_bits ()
+
+let prop_fault_mix_drops =
+  QCheck2.Test.make ~name:"some CDCM scenarios drop packets" ~count:1
+    (QCheck2.Gen.list_repeat 200 gen_cdcm_scenario)
+    (List.exists (fun draw ->
+         match simulate draw with
+         | Some s -> s.Wormhole.dropped_packets > 0
+         | None -> false))
+
+let prop_contention_free_matches_analytic =
+  (* Whenever the simulator reports zero contention the analytic
+     critical path is exact, not just a lower bound. *)
+  QCheck2.Test.make ~name:"contention-free sim equals analytic critical path"
+    ~count:(Test_util.prop_count 200) gen_cdcm_scenario
+    (fun ((params, crg, cdcg, placement, _) as draw) ->
+      match simulate draw with
+      | None -> true
+      | Some s ->
+        s.Wormhole.contention_cycles > 0
+        ||
+        let est = Analytic.estimate ~params ~crg ~placement cdcg in
+        s.Wormhole.texec_cycles = est.Analytic.critical_path_cycles)
+
+let prop_analytic_is_lower_bound =
+  QCheck2.Test.make ~name:"analytic estimate never exceeds simulated texec"
+    ~count:(Test_util.prop_count 100) gen_cdcm_scenario
+    (fun ((params, crg, cdcg, placement, _) as draw) ->
+      match simulate draw with
+      | None -> true
+      | Some s ->
+        let est = Analytic.estimate ~params ~crg ~placement cdcg in
+        est.Analytic.lower_bound_cycles <= s.Wormhole.texec_cycles)
 
 let prop_cdcm_incremental_matches_fresh =
   (* A random walk of [bound_for] queries, the only query a search
@@ -202,7 +247,8 @@ let prop_cdcm_incremental_matches_fresh =
   QCheck2.Test.make
     ~name:"incremental CDCM walk agrees with fresh evaluation"
     ~count:(Test_util.prop_count 15) gen_cdcm_scenario
-    (fun (crg, cdcg, placement, seed) ->
+    (fun (params, crg, cdcg, placement, seed) ->
+      let params = unbounded params in
       let tech = Technology.t007 in
       let tiles = Crg.tile_count crg in
       let cores = Cdcg.core_count cdcg in
@@ -254,7 +300,8 @@ let prop_cdcm_incremental_ls_identical =
   QCheck2.Test.make
     ~name:"local search trajectory is identical with incremental CDCM"
     ~count:(Test_util.prop_count 10) gen_cdcm_scenario
-    (fun (crg, cdcg, placement, _) ->
+    (fun (params, crg, cdcg, placement, _) ->
+      let params = unbounded params in
       let tiles = Crg.tile_count crg in
       let run incremental =
         let objective =
@@ -281,4 +328,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_local_search_prune_lossless;
       QCheck_alcotest.to_alcotest prop_cdcm_incremental_matches_fresh;
       QCheck_alcotest.to_alcotest prop_cdcm_incremental_ls_identical;
+      QCheck_alcotest.to_alcotest prop_fault_mix_drops;
     ] )

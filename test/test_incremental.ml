@@ -182,6 +182,112 @@ let test_cdcm_invalid_inputs () =
   Alcotest.(check bool) "bad candidate length" true
     (rejects (fun () -> Inc.bound_for inc ~cutoff:infinity [| 0; 1 |]))
 
+(* --- Golden contention-free bounds and bound verdicts --- *)
+
+module Analytic = Nocmap_sim.Analytic
+module Cdcg = Nocmap_model.Cdcg
+
+(* A seeded [bound_for]/[evaluate_for] walk on one instance, written
+   into [buf]: for every candidate, [Analytic.estimate]'s three fields
+   and the verdict ([Exact] total and dropped-packet count, or the
+   [At_least] value, with floats as [%h]); every fifth step an
+   [evaluate_for]; finally the evaluator's stats.  Candidates are single
+   moves, swaps and fresh placements of the anchor; budgets are
+   infinite, the anchor's cost, or 1 % or 20 % below the candidate's
+   true cost.  The [At_least] values are decided by where the cone walk
+   stops, so the digest pins the topological order, not only the
+   soundness the properties check. *)
+let golden_walk buf ~label ~params ~crg ~cdcg ~seed ~steps =
+  Printf.bprintf buf "# %s\n" label;
+  let tiles = Crg.tile_count crg and cores = Cdcg.core_count cdcg in
+  let rng = Rng.create ~seed in
+  let fresh p = Cost_cdcm.evaluate ~tech:tech7 ~params ~crg ~cdcg p in
+  let placement = Mapping.Placement.random rng ~cores ~tiles in
+  let inc = Inc.create ~tech:tech7 ~params ~crg ~cdcg ~placement () in
+  let anchor = ref placement and anchor_cost = ref (total (fresh placement)) in
+  let dropped = ref 0 in
+  let record_exact tag (ev : Cost_cdcm.evaluation) =
+    dropped := !dropped + ev.Cost_cdcm.dropped_packets;
+    Printf.bprintf buf "%s %h %d\n" tag ev.Cost_cdcm.total
+      ev.Cost_cdcm.dropped_packets
+  in
+  for step = 1 to steps do
+    let cand =
+      match Rng.int rng 3 with
+      | 0 ->
+        Mapping.Placement.move_to_tile !anchor ~core:(Rng.int rng cores)
+          ~tile:(Rng.int rng tiles)
+      | 1 -> Mapping.Placement.swap_cores !anchor (Rng.int rng cores) (Rng.int rng cores)
+      | _ -> Mapping.Placement.random rng ~cores ~tiles
+    in
+    let e = Analytic.estimate ~params ~crg ~placement:cand cdcg in
+    Printf.bprintf buf "A %d %d %d\n" e.Analytic.critical_path_cycles
+      e.Analytic.link_load_cycles e.Analytic.lower_bound_cycles;
+    let truth = fresh cand in
+    let cutoff =
+      match Rng.int rng 4 with
+      | 0 -> infinity
+      | 1 -> !anchor_cost
+      | 2 -> total truth *. 0.99
+      | _ -> total truth *. 0.8
+    in
+    (match Inc.bound_for inc ~cutoff cand with
+    | Cost_cdcm.Exact ev ->
+      record_exact "E" ev;
+      anchor := cand;
+      anchor_cost := total ev
+    | Cost_cdcm.At_least lb -> Printf.bprintf buf "L %h\n" lb);
+    if step mod 5 = 0 then begin
+      record_exact "F" (Inc.evaluate_for inc cand);
+      anchor := cand;
+      anchor_cost := total truth
+    end
+  done;
+  let s = Inc.stats inc in
+  Printf.bprintf buf "S %d %d %d %d\n" s.Inc.queries s.Inc.delta_hits
+    s.Inc.bound_rejections s.Inc.full_sim_fallbacks;
+  !dropped
+
+(* Fixed instances: the 8x8 Table 2 application (seed 2005) under
+   16-bit flits, a 4x3x2 YX stacked mesh with bounded buffers, a 3x3
+   torus under the paper's 1-bit flits, and a 4x4 mesh with a failed
+   router (tile 5), whose placements sever and cascade-drop packets. *)
+let test_golden_bounds () =
+  let buf = Buffer.create 65536 in
+  let app ~seed ~cores ~packets ~bits =
+    Generator.generate (Rng.create ~seed)
+      (Generator.default_spec ~name:"golden" ~cores ~packets ~total_bits:bits)
+  in
+  let mesh8, app8 = List.nth (Nocmap_tgff.Suite.instances ~seed:2005) 15 in
+  ignore
+    (golden_walk buf ~label:"8x8 table2" ~params:Noc_params.default_16bit
+       ~crg:(Crg.create mesh8) ~cdcg:app8 ~seed:1 ~steps:30);
+  let stacked = Mesh.create3 ~cols:4 ~rows:3 ~layers:2 in
+  ignore
+    (golden_walk buf ~label:"4x3x2 yx bounded"
+       ~params:(Noc_params.make ~flit_bits:8 ~buffering:(Noc_params.Bounded 3) ())
+       ~crg:(Crg.create ~routing:Nocmap_noc.Routing.Yx stacked)
+       ~cdcg:(app ~seed:2 ~cores:14 ~packets:60 ~bits:6_000)
+       ~seed:3 ~steps:40);
+  ignore
+    (golden_walk buf ~label:"3x3 torus 1-bit" ~params:Noc_params.paper_example
+       ~crg:
+         (Crg.create ~routing:Nocmap_noc.Routing.Torus_xy
+            (Mesh.create ~cols:3 ~rows:3))
+       ~cdcg:(app ~seed:4 ~cores:8 ~packets:40 ~bits:2_400)
+       ~seed:5 ~steps:40);
+  let mesh44 = Mesh.create ~cols:4 ~rows:4 in
+  let dropped =
+    golden_walk buf ~label:"4x4 failed router"
+      ~params:(Noc_params.make ~flit_bits:16 ())
+      ~crg:(Crg.create ~faults:(Nocmap_noc.Fault.make ~routers:[ 5 ] mesh44) mesh44)
+      ~cdcg:(app ~seed:6 ~cores:12 ~packets:40 ~bits:8_000)
+      ~seed:7 ~steps:40
+  in
+  Alcotest.(check bool) "the faulted walk drops packets" true (dropped > 0);
+  Alcotest.(check string) "golden digest" "8400dc17df004031a6a38871342c9a8f"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   ( "cdcm-incremental",
     [
@@ -195,4 +301,5 @@ let suite =
       Alcotest.test_case "evaluate_for re-anchors" `Quick test_cdcm_evaluate_for;
       Alcotest.test_case "faulted 3-D detour" `Quick test_cdcm_faulted_3d_detour;
       Alcotest.test_case "invalid inputs" `Quick test_cdcm_invalid_inputs;
+      Alcotest.test_case "golden bounds and verdicts" `Quick test_golden_bounds;
     ] )

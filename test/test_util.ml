@@ -17,3 +17,14 @@ let prop_count base =
   match Option.bind (Sys.getenv_opt "NOCMAP_PROP_MULT") int_of_string_opt with
   | Some mult when mult > 0 -> base * mult
   | Some _ | None -> base
+
+(* Words [f ()] allocates on both heaps.  Arrays over 256 words skip the
+   minor heap, so [Gc.minor_words] alone misses them; [Gc.allocated_bytes]
+   counts both heaps but sees minor-heap words only as of the last minor
+   collection, so a collection opens and one closes the window. *)
+let words_allocated f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  f ();
+  Gc.minor ();
+  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
