@@ -38,11 +38,15 @@ bench-smoke:
 	NOCMAP_BENCH_BUDGET=quick dune exec bench/main.exe
 
 # Regression gate: stash the committed baseline, regenerate the quick
-# benchmark, then compare the machine-independent ratios (arena/cutoff
-# speedups, metrics tax, cache hit rate, symmetry eval fraction, the
-# bit-identity booleans) with a +-15% tolerance.  Exit 1 on regression,
-# exit 2 on a missing or malformed metric.  To refresh the baseline
-# intentionally: run `make bench-smoke` and commit BENCH_nocmap.json.
+# benchmark, then compare each key as bench/main.ml declares it: work
+# counts over fixed call streams (simulator events, cutoff truncations,
+# incremental simulations, journal appends and bytes) exactly in their
+# direction, the metrics-tax word count and the scale cost ratio under
+# ceilings, the deterministic search ratios within 15%, the bit-identity
+# booleans true; wall-clock keys are reported only.  Exit 1 on
+# regression, exit 2 on a missing, malformed or undeclared key.  To
+# refresh the baseline intentionally: run `make bench-smoke` and commit
+# BENCH_nocmap.json.
 bench-gate:
 	cp BENCH_nocmap.json BENCH_baseline.json
 	NOCMAP_BENCH_BUDGET=quick dune exec bench/main.exe
@@ -54,9 +58,10 @@ bench-gate:
 # default run, which honours NOCMAP_JOBS), then the large-mesh profiling suite
 # (NOCMAP_BENCH_BUDGET=scale writes SCALE_profile.csv, SCALE_heatmap.csv
 # and BENCH_nocmap.json) and the regression gate over the committed
-# baseline — the scale_* keys and decompose_vs_flat_quality are gated
-# like any other metric.  To refresh the baseline intentionally: run
-# `make bench-smoke` and commit BENCH_nocmap.json.
+# baseline — the scale run writes the same declared keys as the quick
+# one, so the scale_* keys, decompose_vs_flat_quality and the work
+# counts are gated like any other.  To refresh the baseline
+# intentionally: run `make bench-smoke` and commit BENCH_nocmap.json.
 SCALE_DIR := _build/scale-smoke
 scale-smoke:
 	dune build bin/nocmap_cli.exe bench/main.exe

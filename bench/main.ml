@@ -16,6 +16,7 @@
    of regenerating it.  Environment knobs:
      NOCMAP_BENCH_BUDGET=quick|standard|thorough|scale   (default standard)
      NOCMAP_BENCH_SEED=<int>                             (default 2005)
+   Any other value stops the bench with exit 2.
 
    `scale` is not a fourth search budget: it skips the paper artifacts
    and runs the large-mesh profiling suite ([scale_profile], writing
@@ -37,18 +38,34 @@ module Wormhole = Nocmap_sim.Wormhole
 module Trace = Nocmap_sim.Trace
 module Fig1 = Nocmap_apps.Fig1
 module Experiment = Nocmap.Experiment
+module Metrics = Nocmap_obs.Metrics
+
+let reject fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
 
 let seed =
   match Sys.getenv_opt "NOCMAP_BENCH_SEED" with
-  | Some s -> (try int_of_string s with Failure _ -> 2005)
   | None -> 2005
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some seed -> seed
+      | None -> reject "NOCMAP_BENCH_SEED=%s is not an integer" s)
+
+let budget_name = Option.value (Sys.getenv_opt "NOCMAP_BENCH_BUDGET") ~default:"standard"
 
 let scale_mode, budget =
-  match Sys.getenv_opt "NOCMAP_BENCH_BUDGET" with
-  | Some "quick" -> (false, Experiment.Quick)
-  | Some "thorough" -> (false, Experiment.Thorough)
-  | Some "scale" -> (true, Experiment.Quick)
-  | Some _ | None -> (false, Experiment.Standard)
+  match budget_name with
+  | "quick" -> (false, Experiment.Quick)
+  | "standard" -> (false, Experiment.Standard)
+  | "thorough" -> (false, Experiment.Thorough)
+  | "scale" -> (true, Experiment.Quick)
+  | other ->
+      reject "NOCMAP_BENCH_BUDGET=%s is not one of quick, standard, thorough, scale"
+        other
 
 let experiment_config =
   {
@@ -128,12 +145,7 @@ let table1 () =
 
 let table2 () =
   banner
-    (Printf.sprintf "Table 2: CDCM vs CWM (budget: %s, seed %d)"
-       (match budget with
-       | Experiment.Quick -> "quick"
-       | Experiment.Standard -> "standard"
-       | Experiment.Thorough -> "thorough")
-       seed);
+    (Printf.sprintf "Table 2: CDCM vs CWM (budget: %s, seed %d)" budget_name seed);
   let result =
     Nocmap.Table2.run ~config:experiment_config
       ~progress:(fun line -> Printf.eprintf "%s\n%!" line)
@@ -502,560 +514,691 @@ let ablation_sa_budget () =
 
 (* --- machine-readable benchmark: BENCH_nocmap.json --- *)
 
-(* Throughput of the cost evaluations that dominate every search, plus
-   the sequential-vs-parallel wall time of a small Table 2 slice.  The
-   numbers land in BENCH_nocmap.json so tooling can track the
-   arena/cutoff speedup and the NOCMAP_JOBS scaling across commits. *)
+(* Every key of BENCH_nocmap.json is one declaration in [measurements]
+   below.  The JSON writer and `--compare` both walk that list, so each
+   key is written, compared and printed once, and a key no declaration
+   names is an error.
+
+   The gates hold work, not wall time.  Each gated count is taken over a
+   fixed call stream from the library's own counters ([Metrics], [Gc],
+   the incremental evaluator's stats), so it is a function of the seed
+   alone and reads the same on every machine.  On a shared machine a
+   wall-clock key measures the machine, so timings are reported only, as
+   the median and IQR of interleaved repeats. *)
+
+type direction = Higher | Lower
+
+type check =
+  | Report_only
+  | Ceiling of float  (* the current value at most this *)
+  | Baseline_floor of float  (* the committed baseline at least this *)
+  | Relative of { better : direction; slack : float; baseline_floor : float option }
+      (* the current value no worse than the baseline by more than the
+         fraction [slack], and the baseline at least [baseline_floor] *)
+
+type source =
+  | Number of { decimals : int; check : check; read : unit -> float }
+      (* written with [decimals] places: enough that two counts an exact
+         check must tell apart never print alike *)
+  | Timing of { decimals : int; read : unit -> float array }
+      (* repeats, written as their median under the key and their IQR
+         under [iqr_key]; never gated *)
+  | Flag of (unit -> bool)  (* gated: must read true *)
+  | Text of (unit -> string)
+
+type measurement = {
+  key : string;
+  layer : string;  (* the library whose code the key measures *)
+  unit_ : string;
+  source : source;
+}
+
+let iqr_key key = key ^ "_iqr"
+let wall = Unix.gettimeofday
+
+let timed f =
+  let t0 = wall () in
+  let r = f () in
+  (r, wall () -. t0)
+
+let window =
+  match budget with
+  | Experiment.Quick -> 0.1
+  | Experiment.Standard -> 0.4
+  | Experiment.Thorough -> 1.0
+
+(* Calls per second of [op] over [window] seconds, after one warm-up
+   call (caches filled, first allocations made). *)
+let ops_per_sec window op =
+  op 0;
+  let t0 = wall () in
+  let stop = t0 +. window in
+  let n = ref 0 in
+  while wall () < stop do
+    op !n;
+    incr n
+  done;
+  float_of_int !n /. (wall () -. t0)
+
+(* Five rounds of every measure in turn, so an interference burst slows
+   one round of each measure rather than one side of a ratio; returns
+   each measure's samples in round order. *)
+let interleaved measures =
+  let rounds = Array.init 5 (fun _ -> Array.map (fun measure -> measure ()) measures) in
+  Array.mapi (fun j _ -> Array.map (fun round -> round.(j)) rounds) measures
+
+(* The bench's 3x3 ablation instance and its fixed call streams: 64
+   random placements, the best cost among them (the cutoff of every
+   bounded call, as a descent bounds candidates against its incumbent),
+   and 256 swap moves around the first placement, the proposals a
+   descent makes.  The three CDCM cost paths are the ones every search
+   is built from. *)
+type stream = {
+  crg : Crg.t;
+  cdcg : Cdcg.t;
+  cwg : Cwg.t;
+  tiles : int;
+  cores : int;
+  placements : Mapping.Placement.t array;
+  incumbent : float;
+  moves : Mapping.Placement.t array;
+  fresh_eval : Mapping.Placement.t -> float;  (* a new arena per call *)
+  arena_eval : Mapping.Placement.t -> float;  (* one reused arena *)
+  cutoff_eval : Mapping.Placement.t -> Mapping.Cost_cdcm.bound;
+      (* the arena path, cut off at [incumbent] *)
+}
+
+let tech = Technology.t007
+let params = example_params
+
+let stream =
+  lazy
+    (let mesh, cdcg = ablation_instance () in
+     let crg = Crg.create mesh in
+     let tiles = Mesh.tile_count mesh and cores = Cdcg.core_count cdcg in
+     let rng = Rng.create ~seed:(seed + 31) in
+     let placements =
+       Array.init 64 (fun _ -> Mapping.Placement.random (Rng.split rng) ~cores ~tiles)
+     in
+     let scratch = Wormhole.Scratch.create ~crg cdcg in
+     let arena = Mapping.Cost_cdcm.total_energy ~scratch ~tech ~params ~crg ~cdcg in
+     let incumbent =
+       Array.fold_left (fun best p -> Float.min best (arena p)) infinity placements
+     in
+     let anchor = placements.(0) in
+     let occupant = Array.make tiles (-1) in
+     Array.iteri (fun core tile -> occupant.(tile) <- core) anchor;
+     let move_rng = Rng.create ~seed:(seed + 43) in
+     let moves =
+       Array.init 256 (fun _ ->
+           let core = Rng.int move_rng cores in
+           let tile = ref (Rng.int move_rng tiles) in
+           while !tile = anchor.(core) do
+             tile := Rng.int move_rng tiles
+           done;
+           let cand = Array.copy anchor in
+           cand.(core) <- !tile;
+           if occupant.(!tile) >= 0 then cand.(occupant.(!tile)) <- anchor.(core);
+           cand)
+     in
+     {
+       crg;
+       cdcg;
+       cwg = Cwg.of_cdcg cdcg;
+       tiles;
+       cores;
+       placements;
+       incumbent;
+       moves;
+       fresh_eval = Mapping.Cost_cdcm.total_energy ~tech ~params ~crg ~cdcg;
+       arena_eval = arena;
+       cutoff_eval =
+         Mapping.Cost_cdcm.evaluate_bound ~scratch ~tech ~params ~crg ~cdcg
+           ~cutoff:incumbent;
+     })
+
+let pick s i = s.placements.(i mod Array.length s.placements)
+
+(* Calls per second of each cost path, interleaved. *)
+type rates = {
+  cwm : float array;
+  fresh : float array;
+  arena : float array;
+  arena_metrics : float array;
+  cutoff : float array;
+  cutoff_move : float array;
+  bound : float array;  (* [Cost_cdcm_incremental.bound_for] at the incumbent *)
+}
+
+let rates =
+  lazy
+    (let s = Lazy.force stream in
+     let cwm = Mapping.Cost_cwm.dynamic_energy ~tech ~crg:s.crg ~cwg:s.cwg in
+     let inc =
+       Mapping.Cost_cdcm_incremental.create ~tech ~params ~crg:s.crg ~cdcg:s.cdcg
+         ~placement:(pick s 0) ()
+     in
+     let rate op () = ops_per_sec window (fun i -> ignore (op i)) in
+     match
+       interleaved
+         [|
+           rate (fun i -> cwm (pick s i));
+           rate (fun i -> s.fresh_eval (pick s i));
+           rate (fun i -> s.arena_eval (pick s i));
+           (fun () -> Metrics.with_enabled true (rate (fun i -> s.arena_eval (pick s i))));
+           rate (fun i -> s.cutoff_eval (pick s i));
+           rate (fun i -> s.cutoff_eval s.moves.(i mod Array.length s.moves));
+           rate (fun i ->
+               Mapping.Cost_cdcm_incremental.bound_for inc ~cutoff:s.incumbent (pick s i));
+         |]
+     with
+     | [| cwm; fresh; arena; arena_metrics; cutoff; cutoff_move; bound |] ->
+       { cwm; fresh; arena; arena_metrics; cutoff; cutoff_move; bound }
+     | _ -> assert false)
+
+let sim_events = Metrics.counter "sim.events_processed"
+let sim_truncated = Metrics.counter "sim.runs_truncated"
+let journal_appends = Metrics.counter "persist.snapshots"
+let journal_bytes = Metrics.counter "persist.bytes"
+
+(* Runs [f] with metrics on, from zeroed counters. *)
+let counting f =
+  Metrics.reset ();
+  Metrics.with_enabled true f
+
+(* Words allocated per call of [f] over the placement stream, warm.
+   [Gc.allocated_bytes] sees minor-heap words only as of the last minor
+   collection on OCaml 5.1, so one collection opens the window and one
+   closes it. *)
+let words_per_call s f =
+  let over () = Array.iter (fun p -> ignore (f p)) s.placements in
+  over ();
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  over ();
+  Gc.minor ();
+  (Gc.allocated_bytes () -. before)
+  /. float_of_int (Sys.word_size / 8 * Array.length s.placements)
+
+(* One pass of each CDCM cost path over the placement stream. *)
+type arena_work = {
+  events : int;
+  cutoff_events : int;
+  truncated : int;
+  arena_words : float;
+  fresh_words : float;
+  metrics_words : float;  (* extra words per arena call with metrics on *)
+}
+
+let arena_work =
+  lazy
+    (let s = Lazy.force stream in
+     let over f () = Array.iter (fun p -> ignore (f p)) s.placements in
+     counting (over s.arena_eval);
+     let events = Metrics.counter_value sim_events in
+     counting (over s.cutoff_eval);
+     let cutoff_events = Metrics.counter_value sim_events in
+     let truncated = Metrics.counter_value sim_truncated in
+     let arena_words = words_per_call s s.arena_eval in
+     let fresh_words = words_per_call s s.fresh_eval in
+     let metrics_words =
+       Metrics.with_enabled true (fun () -> words_per_call s s.arena_eval) -. arena_words
+     in
+     { events; cutoff_events; truncated; arena_words; fresh_words; metrics_words })
+
+(* Two passes of [bound_for] over the placement stream, from a fresh
+   evaluator anchored at the first placement. *)
+let incremental_work =
+  lazy
+    (let s = Lazy.force stream in
+     let inc =
+       Mapping.Cost_cdcm_incremental.create ~tech ~params ~crg:s.crg ~cdcg:s.cdcg
+         ~placement:(pick s 0) ()
+     in
+     for _ = 1 to 2 do
+       Array.iter
+         (fun p ->
+           ignore (Mapping.Cost_cdcm_incremental.bound_for inc ~cutoff:s.incumbent p))
+         s.placements
+     done;
+     Mapping.Cost_cdcm_incremental.stats inc)
+
+let plain_objective s = Mapping.Objective.cdcm ~tech ~params ~crg:s.crg ~cdcg:s.cdcg ()
+
+(* Local search must be trajectory-identical with and without the
+   incremental evaluator: its bound threshold is an exact accept test,
+   and the analytic bound only rejects candidates the plain objective
+   would also have discarded. *)
+let ls_identical =
+  lazy
+    (let s = Lazy.force stream in
+     let run objective =
+       Mapping.Local_search.search ~objective ~tiles:s.tiles ~initial:(pick s 0) ()
+     in
+     run (plain_objective s)
+     = run (Mapping.Objective.cdcm ~incremental:true ~tech ~params ~crg:s.crg ~cdcg:s.cdcg ()))
+
+let sa_config s =
+  {
+    (Mapping.Annealing.default_config ~tiles:s.tiles) with
+    Mapping.Annealing.prune = Some 20.0;
+    patience = 40;
+  }
+
+let sa_run s objective =
+  Mapping.Annealing.search
+    ~rng:(Rng.create ~seed:(seed + 37))
+    ~config:(sa_config s) ~tiles:s.tiles ~objective ~cores:s.cores ()
+
+let symmetry s = Nocmap_noc.Symmetry.of_crg ~level:Nocmap_noc.Symmetry.Paths s.crg
+
+(* Evaluation cache: converged annealing on the ablation instance, cached
+   vs uncached.  Results must be bit-identical. *)
+type cache_sa = {
+  plain : Mapping.Objective.search_result;
+  hit_percent : float;
+  speedup : float;
+  identical : bool;
+}
+
+let cache_sa =
+  lazy
+    (let s = Lazy.force stream in
+     let plain, plain_seconds = timed (fun () -> sa_run s (plain_objective s)) in
+     let cache = Mapping.Eval_cache.create ~symmetry:(symmetry s) ~cores:s.cores () in
+     let cached, cached_seconds =
+       timed (fun () -> sa_run s (Mapping.Objective.with_cache cache (plain_objective s)))
+     in
+     {
+       plain;
+       hit_percent = 100.0 *. Mapping.Eval_cache.hit_rate cache;
+       speedup = plain_seconds /. Float.max cached_seconds 1e-9;
+       identical = plain = cached;
+     })
+
+(* Checkpointed annealing at the default journal cadence: what it writes
+   and what it costs, and a run killed mid-search then resumed over the
+   same store must land bit-identical on the plain result. *)
+type checkpoint = {
+  overhead_percent : float array;
+  appends : int;
+  bytes : int;
+  evaluations : int;
+  resumed_identical : bool;
+}
+
+let checkpoint =
+  lazy
+    (let s = Lazy.force stream in
+     (* A fresh store per run, or a second run would just replay. *)
+     let in_temp_store f =
+       let dir = Filename.temp_file "nocmap" ".ckpt" in
+       Sys.remove dir;
+       let r = f (Nocmap_persist.Store.open_ ~dir) in
+       Array.iter (fun file -> Sys.remove (Filename.concat dir file)) (Sys.readdir dir);
+       Sys.rmdir dir;
+       r
+     in
+     let persisted ?(every = Mapping.Search_persist.default_every) ?stop store =
+       Mapping.Search_persist.refine ~store ~key:"bench-sa" ~every
+         ~rng:(Rng.create ~seed:(seed + 37))
+         (Mapping.Refiner.Sa (sa_config s)) ~tiles:s.tiles ~objective:(plain_objective s)
+         ?stop ~cores:s.cores ()
+     in
+     let seconds f () = snd (timed f) in
+     let plain_seconds, journaled_seconds =
+       match
+         interleaved
+           [|
+             seconds (fun () -> sa_run s (plain_objective s));
+             seconds (fun () -> in_temp_store persisted);
+           |]
+       with
+       | [| plain; journaled |] -> (plain, journaled)
+       | _ -> assert false
+     in
+     let counted = counting (fun () -> in_temp_store persisted) in
+     let appends = Metrics.counter_value journal_appends in
+     let bytes = Metrics.counter_value journal_bytes in
+     let resumed =
+       in_temp_store (fun store ->
+           let polls = ref 0 in
+           let stop () =
+             incr polls;
+             !polls > 900
+           in
+           ignore (persisted ~every:200 ~stop store);
+           persisted ~every:200 store)
+     in
+     {
+       overhead_percent =
+         Array.map2 (fun j p -> 100.0 *. ((j /. p) -. 1.0)) journaled_seconds plain_seconds;
+       appends;
+       bytes;
+       evaluations = counted.Mapping.Objective.evaluations;
+       resumed_identical = resumed = (Lazy.force cache_sa).plain;
+     })
+
+(* Racing portfolio: cost evaluations for a spiral/greedy/SA/tabu
+   portfolio to reach the converged cost of a solo quick-SA run, vs that
+   solo run's own evaluation count.  The solo reference burns the exact
+   RNG substream the portfolio hands its SA leg ([Rng.split] of the same
+   root), so the target is the quality a lone racer reaches and the
+   ratio measures what constructive seeding plus racing buys.
+   Evaluation counts are deterministic for a fixed seed, so the ratio
+   holds across machines. *)
+let portfolio =
+  lazy
+    (let s = Lazy.force stream in
+     let config = Mapping.Portfolio.quick_config ~tiles:s.tiles in
+     let root () = Rng.create ~seed:(seed + 47) in
+     let solo =
+       Mapping.Annealing.search ~rng:(Rng.split (root ()))
+         ~config:config.Mapping.Portfolio.sa ~tiles:s.tiles
+         ~objective:(plain_objective s) ~cores:s.cores ()
+     in
+     let raced =
+       (Mapping.Portfolio.search ~rng:(root ()) ~config
+          ~strategies:Mapping.Portfolio.[ Spiral; Greedy; Sa; Tabu ]
+          ~tech ~crg:s.crg ~cwg:s.cwg
+          ~objective_for:(fun _ -> plain_objective s)
+          ~target:solo.Mapping.Objective.cost ())
+         .Mapping.Portfolio.result
+     in
+     ( float_of_int solo.Mapping.Objective.evaluations
+       /. float_of_int (max 1 raced.Mapping.Objective.evaluations),
+       raced.Mapping.Objective.cost <= solo.Mapping.Objective.cost ))
+
+(* Decomposition quality: flat quick SA vs the divide-and-conquer mapper
+   on the 12x12/132-core scaling instance (CWM objective), same root
+   seed: the first rung where a monolithic move space visibly stalls.
+   Both searches are evaluation-deterministic for a fixed seed. *)
+let decompose_quality =
+  lazy
+    (let mesh, cwg = List.nth (Nocmap_tgff.Scale.instances ~seed) 1 in
+     let crg = Crg.create mesh in
+     let tiles = Mesh.tile_count mesh in
+     let objective () = Mapping.Objective.cwm ~tech ~crg ~cwg in
+     let flat =
+       Mapping.Annealing.search
+         ~rng:(Rng.create ~seed:(seed + 53))
+         ~config:(Mapping.Annealing.quick_config ~tiles)
+         ~tiles ~objective:(objective ()) ~cores:(Cwg.core_count cwg) ()
+     in
+     let report =
+       Mapping.Decompose.search
+         ~rng:(Rng.create ~seed:(seed + 53))
+         ~config:(Mapping.Decompose.quick_config ~tiles)
+         ~crg ~cwg ~objective_for:objective ()
+     in
+     flat.Mapping.Objective.cost
+     /. Float.max report.Mapping.Decompose.result.Mapping.Objective.cost 1e-300)
+
+(* The scale wall: arena-backed CDCM evaluations per second on the
+   flagship 256-core pipeline (16x16 mesh, 2048 packets), as a search
+   would run them. *)
+let scale_ops =
+  lazy
+    (let mesh, cdcg = Nocmap_tgff.Scale.pipeline_256 () in
+     let crg = Crg.create mesh in
+     let scratch = Wormhole.Scratch.create ~crg cdcg in
+     let rng = Rng.create ~seed:(seed + 59) in
+     let placements =
+       Array.init 8 (fun _ ->
+           Mapping.Placement.random (Rng.split rng) ~cores:(Cdcg.core_count cdcg)
+             ~tiles:(Mesh.tile_count mesh))
+     in
+     ops_per_sec (Float.max window 0.5) (fun i ->
+         ignore
+           (Mapping.Cost_cdcm.total_energy ~scratch ~tech ~params ~crg ~cdcg
+              placements.(i mod Array.length placements))))
+
+(* Symmetry-reduced exhaustive search: a 5-core CDCM instance on the 3x3
+   mesh, full enumeration vs canonical representatives only. *)
+let exhaustive =
+  lazy
+    (let s = Lazy.force stream in
+     let cdcg =
+       Nocmap_tgff.Generator.generate
+         (Rng.create ~seed:(seed + 41))
+         (Nocmap_tgff.Generator.default_spec ~name:"es-cache" ~cores:5 ~packets:20
+            ~total_bits:4_000)
+     in
+     let objective = Mapping.Objective.cdcm ~tech ~params ~crg:s.crg ~cdcg () in
+     let full = Mapping.Exhaustive.search ~objective ~cores:5 ~tiles:s.tiles () in
+     let reduced =
+       Mapping.Exhaustive.search ~objective ~cores:5 ~tiles:s.tiles
+         ~symmetry:(symmetry s) ()
+     in
+     ( float_of_int reduced.Mapping.Objective.evaluations
+       /. float_of_int full.Mapping.Objective.evaluations,
+       full.Mapping.Objective.placement = reduced.Mapping.Objective.placement
+       && full.Mapping.Objective.cost = reduced.Mapping.Objective.cost ))
+
+(* A Table 2 slice run sequentially and on a pool of at least two
+   domains must agree bit for bit, whatever NOCMAP_JOBS says. *)
+let suite =
+  lazy
+    (let size =
+       match budget with
+       | Experiment.Quick -> 3
+       | Experiment.Standard -> 6
+       | Experiment.Thorough -> 9
+     in
+     let instances =
+       Nocmap_tgff.Suite.instances ~seed |> List.filteri (fun i _ -> i < size)
+     in
+     let slice pool =
+       Nocmap.Table2.run ~config:Experiment.quick_config ~instances ?pool ~seed ()
+     in
+     let fingerprint (t : Nocmap.Table2.t) =
+       List.concat_map
+         (fun (s_ : Nocmap.Table2.size_summary) ->
+           List.map
+             (fun (o : Experiment.outcome) ->
+               ( o.Experiment.app,
+                 o.Experiment.etr_percent,
+                 o.Experiment.ecs_low_percent,
+                 o.Experiment.ecs_high_percent,
+                 o.Experiment.cdcm_high.Mapping.Cost_cdcm.total ))
+             s_.Nocmap.Table2.outcomes)
+         t.Nocmap.Table2.sizes
+     in
+     let jobs = max 2 (Nocmap_util.Domain_pool.default_jobs ()) in
+     let parallel =
+       Nocmap_util.Domain_pool.with_pool ~jobs (fun pool -> slice (Some pool))
+     in
+     (List.length instances, jobs, fingerprint (slice None) = fingerprint parallel))
+
+(* 3-D generalization: a CxRx1 stack must be the planar CxR bit for bit
+   (same CWM costs over a random sample and the same CDCM SA trajectory),
+   and the equal-tile-budget 2-D vs 3-D comparison behind the
+   EXPERIMENTS.md worked example is reported. *)
+let noc3d =
+  lazy
+    (let cdcg, mesh2d, mesh3d = noc3d_instances () in
+     let folded = Mesh.create3 ~cols:4 ~rows:4 ~layers:1 in
+     let cores = Cdcg.core_count cdcg in
+     let sa mesh =
+       let crg = Crg.create mesh in
+       let tiles = Mesh.tile_count mesh in
+       Mapping.Annealing.search
+         ~rng:(Rng.create ~seed:(seed + 61))
+         ~config:(Mapping.Annealing.quick_config ~tiles)
+         ~tiles
+         ~objective:(Mapping.Objective.cdcm ~tech ~params ~crg ~cdcg ())
+         ~cores ()
+     in
+     let cwm_identical =
+       let crg2d = Crg.create mesh2d and crg3d = Crg.create folded in
+       let cwg = Cwg.of_cdcg cdcg in
+       let rng = Rng.create ~seed:(seed + 62) in
+       List.for_all
+         (fun p ->
+           Mapping.Cost_cwm.dynamic_energy ~tech ~crg:crg2d ~cwg p
+           = Mapping.Cost_cwm.dynamic_energy ~tech ~crg:crg3d ~cwg p)
+         (List.init 32 (fun _ ->
+              Mapping.Placement.random (Rng.split rng) ~cores
+                ~tiles:(Mesh.tile_count mesh2d)))
+     in
+     let identical = cwm_identical && sa mesh2d = sa folded in
+     let table =
+       Nocmap.Table2.run ~config:Experiment.quick_config
+         ~instances:[ (mesh2d, cdcg); (mesh3d, cdcg) ]
+         ~seed ()
+     in
+     let row mesh =
+       List.find
+         (fun (s_ : Nocmap.Table2.size_summary) -> s_.Nocmap.Table2.mesh = mesh)
+         table.Nocmap.Table2.sizes
+     in
+     (identical, row mesh2d, row mesh3d))
+
+let within better slack = Relative { better; slack; baseline_floor = None }
+
+let measurements =
+  let number ?(check = Report_only) ~layer ~unit_ ~decimals key read =
+    { key; layer; unit_; source = Number { decimals; check; read } }
+  in
+  let count ?check ~layer ~unit_ key read =
+    number ?check ~layer ~unit_ ~decimals:0 key (fun () -> float_of_int (read ()))
+  in
+  let timing ~layer ~unit_ ~decimals key read =
+    { key; layer; unit_; source = Timing { decimals; read } }
+  in
+  let flag ~layer key read = { key; layer; unit_ = "bool"; source = Flag read } in
+  (* Counts are exact per seed: any move in the wrong direction fails. *)
+  let exact better = within better 0.0 in
+  (* [of_ group field] reads one field of a measured group, measuring
+     the group on first use. *)
+  let of_ group field () = field (Lazy.force group) in
+  let rate key field = timing ~layer:"mapping" ~unit_:"1/s" ~decimals:1 key (of_ rates field) in
+  let per_eval n = float_of_int n /. float_of_int (Array.length (Lazy.force stream).placements) in
+  [
+    { key = "budget"; layer = "run"; unit_ = "-"; source = Text (fun () -> budget_name) };
+    count "seed" ~layer:"run" ~unit_:"-" (fun () -> seed);
+    (* Cost-evaluation throughput on the placement stream. *)
+    rate "cwm_eval_ops_per_sec" (fun r -> r.cwm);
+    rate "cdcm_eval_fresh_ops_per_sec" (fun r -> r.fresh);
+    rate "cdcm_eval_arena_ops_per_sec" (fun r -> r.arena);
+    rate "cdcm_eval_arena_metrics_ops_per_sec" (fun r -> r.arena_metrics);
+    rate "cdcm_eval_arena_cutoff_ops_per_sec" (fun r -> r.cutoff);
+    rate "cdcm_eval_arena_cutoff_move_ops_per_sec" (fun r -> r.cutoff_move);
+    rate "cdcm_incremental_bound_ops_per_sec" (fun r -> r.bound);
+    timing "cdcm_incremental_speedup" ~layer:"mapping" ~unit_:"ratio" ~decimals:2
+      (of_ rates (fun r -> Array.map2 ( /. ) r.bound r.cutoff));
+    timing "metrics_overhead_percent" ~layer:"obs" ~unit_:"%" ~decimals:2
+      (of_ rates (fun r ->
+           Array.map2 (fun m a -> 100.0 *. (1.0 -. (m /. a))) r.arena_metrics r.arena));
+    (* Work per call on the same stream.  An arena evaluation that stops
+       reusing its scratch is caught by the `dune runtest` allocation
+       gate, so the words here are reported only; a cutoff that stops
+       cutting reads a fraction of 1. *)
+    number "cdcm_arena_events_per_eval" ~layer:"sim" ~unit_:"events" ~decimals:2
+      ~check:(exact Lower)
+      (of_ arena_work (fun w -> per_eval w.events));
+    number "cdcm_arena_words_per_eval" ~layer:"sim" ~unit_:"words" ~decimals:1
+      (of_ arena_work (fun w -> w.arena_words));
+    number "cdcm_fresh_words_per_eval" ~layer:"sim" ~unit_:"words" ~decimals:1
+      (of_ arena_work (fun w -> w.fresh_words));
+    number "cdcm_arena_cutoff_event_fraction" ~layer:"sim" ~unit_:"ratio" ~decimals:6
+      ~check:(exact Lower)
+      (of_ arena_work (fun w -> float_of_int w.cutoff_events /. float_of_int w.events));
+    count "cdcm_arena_cutoff_truncated_runs" ~layer:"sim" ~unit_:"runs of 64"
+      ~check:(exact Higher)
+      (of_ arena_work (fun w -> w.truncated));
+    (* Two [bound_for] passes over the stream: a query the evaluator
+       settles without simulating is a delta hit. *)
+    number "cdcm_incremental_simulations_per_query" ~layer:"mapping" ~unit_:"ratio"
+      ~decimals:4 ~check:(exact Lower)
+      (of_ incremental_work (fun st ->
+           float_of_int st.Mapping.Cost_cdcm_incremental.full_sim_fallbacks
+           /. float_of_int st.Mapping.Cost_cdcm_incremental.queries));
+    count "cdcm_incremental_delta_hits" ~layer:"mapping" ~unit_:"queries of 128"
+      ~check:(exact Higher)
+      (of_ incremental_work (fun st -> st.Mapping.Cost_cdcm_incremental.delta_hits));
+    flag "cdcm_incremental_ls_identical" ~layer:"mapping" (of_ ls_identical Fun.id);
+    (* The instrumentation tax in allocation: one two-word allocation per
+       simulated event (242 per evaluation) would add about 480. *)
+    number "metrics_words_per_eval" ~layer:"obs" ~unit_:"words" ~decimals:1
+      ~check:(Ceiling 128.0)
+      (of_ arena_work (fun w -> w.metrics_words));
+    number "cache_sa_hit_rate_percent" ~layer:"mapping" ~unit_:"%" ~decimals:1
+      ~check:(within Higher 0.15)
+      (of_ cache_sa (fun c -> c.hit_percent));
+    number "cache_sa_speedup" ~layer:"mapping" ~unit_:"ratio" ~decimals:2
+      (of_ cache_sa (fun c -> c.speedup));
+    flag "cache_sa_identical" ~layer:"mapping" (of_ cache_sa (fun c -> c.identical));
+    (* The default cadence writes one record per 10 000 evaluations; a
+       write per evaluation multiplies both counts by thousands. *)
+    timing "checkpoint_overhead_percent" ~layer:"persist" ~unit_:"%" ~decimals:2
+      (of_ checkpoint (fun c -> c.overhead_percent));
+    count "checkpoint_journal_appends" ~layer:"persist" ~unit_:"records"
+      ~check:(exact Lower)
+      (of_ checkpoint (fun c -> c.appends));
+    count "checkpoint_journal_bytes" ~layer:"persist" ~unit_:"bytes"
+      ~check:(exact Lower)
+      (of_ checkpoint (fun c -> c.bytes));
+    count "checkpoint_sa_evaluations" ~layer:"mapping" ~unit_:"evals"
+      (of_ checkpoint (fun c -> c.evaluations));
+    flag "checkpoint_sa_identical" ~layer:"persist"
+      (of_ checkpoint (fun c -> c.resumed_identical));
+    number "portfolio_speedup_to_quality" ~layer:"mapping" ~unit_:"ratio" ~decimals:2
+      ~check:(Relative { better = Higher; slack = 0.15; baseline_floor = Some 1.0 })
+      (of_ portfolio fst);
+    flag "portfolio_reached_quality" ~layer:"mapping" (of_ portfolio snd);
+    number "decompose_vs_flat_quality" ~layer:"mapping" ~unit_:"ratio" ~decimals:4
+      ~check:(Relative { better = Higher; slack = 0.15; baseline_floor = Some 1.0 })
+      (of_ decompose_quality Fun.id);
+    (* Raw 256-core throughput is machine-bound, so only the committed
+       baseline is held to a floor; the cost of a 256-core evaluation
+       relative to a 3x3 one cancels machine speed, and a per-evaluation
+       O(tiles^2) regression blows it past the ceiling on any machine. *)
+    number "scale_256core_eval_ops_per_sec" ~layer:"mapping" ~unit_:"1/s" ~decimals:2
+      ~check:(Baseline_floor 50.0) (of_ scale_ops Fun.id);
+    number "scale_eval_cost_ratio" ~layer:"mapping" ~unit_:"ratio" ~decimals:1
+      ~check:(Ceiling 1000.0)
+      (of_ rates (fun r -> Stats.median (Array.to_list r.arena) /. Lazy.force scale_ops));
+    number "cache_exhaustive_eval_fraction" ~layer:"mapping" ~unit_:"ratio" ~decimals:4
+      ~check:(within Lower 0.15) (of_ exhaustive fst);
+    flag "cache_exhaustive_identical" ~layer:"mapping" (of_ exhaustive snd);
+    flag "table2_3d_identical" ~layer:"noc" (of_ noc3d (fun (identical, _, _) -> identical));
+    number "noc3d_2d_etr_percent" ~layer:"core" ~unit_:"%" ~decimals:1
+      (of_ noc3d (fun (_, row, _) -> row.Nocmap.Table2.etr_percent));
+    number "noc3d_2d_ecs_high_percent" ~layer:"core" ~unit_:"%" ~decimals:1
+      (of_ noc3d (fun (_, row, _) -> row.Nocmap.Table2.ecs_high_percent));
+    number "noc3d_3d_etr_percent" ~layer:"core" ~unit_:"%" ~decimals:1
+      (of_ noc3d (fun (_, _, row) -> row.Nocmap.Table2.etr_percent));
+    number "noc3d_3d_ecs_high_percent" ~layer:"core" ~unit_:"%" ~decimals:1
+      (of_ noc3d (fun (_, _, row) -> row.Nocmap.Table2.ecs_high_percent));
+    count "suite_instances" ~layer:"core" ~unit_:"apps" (of_ suite (fun (n, _, _) -> n));
+    count "suite_jobs" ~layer:"util" ~unit_:"domains" (of_ suite (fun (_, jobs, _) -> jobs));
+    flag "suite_parallel_identical" ~layer:"util"
+      (of_ suite (fun (_, _, identical) -> identical));
+  ]
+
+(* The JSON fields of one measurement, as written. *)
+let json_fields m =
+  let fixed decimals x = Printf.sprintf "%.*f" decimals x in
+  match m.source with
+  | Number { decimals; read; _ } -> [ (m.key, fixed decimals (read ())) ]
+  | Timing { decimals; read } ->
+    let samples = Array.to_list (read ()) in
+    [
+      (m.key, fixed decimals (Stats.median samples));
+      ( iqr_key m.key,
+        fixed decimals (Stats.percentile 75.0 samples -. Stats.percentile 25.0 samples) );
+    ]
+  | Flag read -> [ (m.key, string_of_bool (read ())) ]
+  | Text read -> [ (m.key, Printf.sprintf "%S" (read ())) ]
+
 let bench_json () =
   banner "Machine-readable benchmark (BENCH_nocmap.json)";
-  let wall = Unix.gettimeofday in
-  let window, suite_size =
-    match budget with
-    | Experiment.Quick -> (0.1, 3)
-    | Experiment.Standard -> (0.4, 6)
-    | Experiment.Thorough -> (1.0, 9)
-  in
-  let ops_per_sec_in window f =
-    f 0;
-    (* warmup: fill caches, trigger first allocations *)
-    let t0 = wall () in
-    let stop = t0 +. window in
-    let n = ref 0 in
-    while wall () < stop do
-      f !n;
-      incr n
-    done;
-    float_of_int !n /. (wall () -. t0)
-  in
-  let ops_per_sec f = ops_per_sec_in window f in
-  let mesh, cdcg = ablation_instance () in
-  let crg = Crg.create mesh in
-  let cwg = Cwg.of_cdcg cdcg in
-  let tiles = Mesh.tile_count mesh in
-  let cores = Cdcg.core_count cdcg in
-  let tech = Technology.t007 in
-  let params = example_params in
-  let rng = Rng.create ~seed:(seed + 31) in
-  let n_placements = 64 in
-  let placements = Array.make n_placements [||] in
-  for i = 0 to n_placements - 1 do
-    placements.(i) <- Mapping.Placement.random (Rng.split rng) ~cores ~tiles
-  done;
-  let pick i = placements.(i mod n_placements) in
-  let cwm_ops =
-    let cwm = Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg in
-    ops_per_sec (fun i -> ignore (cwm (pick i)))
-  in
-  (* The perf trajectory is tracked against a frozen copy of the seed
-     simulator (record events, per-call allocation of every structure) —
-     see [Baseline_sim].  Speedups below are relative to it.
-
-     The CI gate checks ratios of these throughputs, so they are measured
-     interleaved round-robin with best-of-five windows per metric: a
-     multi-second interference burst then slows every metric of a rep
-     instead of one side of a ratio, and the max discards slowed reps. *)
-  let scratch = Wormhole.Scratch.create ~crg cdcg in
-  let incumbent =
-    (* cutoff for the bound throughput: best cost over the sample set *)
-    let best = ref infinity in
-    for i = 0 to n_placements - 1 do
-      best :=
-        Float.min !best
-          (Mapping.Cost_cdcm.total_energy ~scratch ~tech ~params ~crg ~cdcg (pick i))
-    done;
-    !best
-  in
-  (* Swap-move candidate stream: random non-noop moves around the
-     anchor [pick 0], exactly the proposals a descent bounds against its
-     best cost, materialized as full placements for the arena+cutoff
-     simulator. *)
-  let n_moves = 256 in
-  let move_candidates = Array.make n_moves [||] in
-  (let anchor = pick 0 in
-   let occupant = Array.make tiles (-1) in
-   Array.iteri (fun core tile -> occupant.(tile) <- core) anchor;
-   let move_rng = Rng.create ~seed:(seed + 43) in
-   for m = 0 to n_moves - 1 do
-     let core = Rng.int move_rng cores in
-     let tile = ref (Rng.int move_rng tiles) in
-     while !tile = anchor.(core) do
-       tile := Rng.int move_rng tiles
-     done;
-     let cand = Array.copy anchor in
-     cand.(core) <- !tile;
-     if occupant.(!tile) >= 0 then cand.(occupant.(!tile)) <- anchor.(core);
-     move_candidates.(m) <- cand
-   done);
-  let cdcm_inc =
-    Mapping.Cost_cdcm_incremental.create ~tech ~params ~crg ~cdcg
-      ~placement:(pick 0) ()
-  in
-  let cdcm_measures =
-    [|
-      (* seed-simulator baseline *)
-      (fun () ->
-        ops_per_sec (fun i ->
-            ignore (Baseline_sim.total_energy ~tech ~params ~crg ~cdcg (pick i))));
-      (* current simulator, fresh allocations per call *)
-      (fun () ->
-        ops_per_sec (fun i ->
-            ignore (Mapping.Cost_cdcm.total_energy ~tech ~params ~crg ~cdcg (pick i))));
-      (* arena-backed *)
-      (fun () ->
-        ops_per_sec (fun i ->
-            ignore
-              (Mapping.Cost_cdcm.total_energy ~scratch ~tech ~params ~crg ~cdcg
-                 (pick i))));
-      (* observability tax: same arena path with the metrics registry on
-         (per-run flush of the sim.* counters); budget <= 5% *)
-      (fun () ->
-        Nocmap_obs.Metrics.with_enabled true (fun () ->
-            ops_per_sec (fun i ->
-                ignore
-                  (Mapping.Cost_cdcm.total_energy ~scratch ~tech ~params ~crg ~cdcg
-                     (pick i)))));
-      (* cutoff: the local-search / SA-descent scenario — every candidate
-         is bounded against the best cost seen so far *)
-      (fun () ->
-        ops_per_sec (fun i ->
-            ignore
-              (Mapping.Cost_cdcm.evaluate_bound ~scratch ~tech ~params ~crg ~cdcg
-                 ~cutoff:incumbent (pick i))));
-      (* the same arena+cutoff path on the swap-move candidate stream:
-         what a descent pays per proposed move without incrementality
-         (the simulator cannot exploit the single-move diff, so it
-         re-simulates the whole placement) *)
-      (fun () ->
-        ops_per_sec (fun i ->
-            ignore
-              (Mapping.Cost_cdcm.evaluate_bound ~scratch ~tech ~params ~crg ~cdcg
-                 ~cutoff:incumbent move_candidates.(i mod n_moves))));
-      (* anchor-oblivious robustness: arbitrary-placement candidates
-         through [bound_for], where every query diffs against a drifting
-         anchor and the affected cone is essentially the whole graph *)
-      (fun () ->
-        ops_per_sec (fun i ->
-            ignore (Mapping.Cost_cdcm_incremental.bound_for cdcm_inc
-                      ~cutoff:incumbent (pick i))));
-    |]
-  in
-  let reps = 5 in
-  let cdcm_reps =
-    Array.init reps (fun _ -> Array.map (fun measure -> measure ()) cdcm_measures)
-  in
-  let best metric =
-    Array.fold_left (fun acc rep -> Float.max acc rep.(metric)) 0.0 cdcm_reps
-  in
-  (* Gated ratios are formed within each rep (numerator and denominator
-     measured back to back under the same machine state) and summarised
-     by the median rep, so a single interference burst cannot move
-     them. *)
-  let median_ratio num den =
-    let ratios = Array.map (fun rep -> rep.(num) /. rep.(den)) cdcm_reps in
-    Array.sort compare ratios;
-    ratios.(reps / 2)
-  in
-  let cdcm_baseline_ops = best 0 in
-  let cdcm_fresh_ops = best 1 in
-  let cdcm_arena_ops = best 2 in
-  let cdcm_arena_metrics_ops = best 3 in
-  let cdcm_cutoff_ops = best 4 in
-  let cdcm_cutoff_move_ops = best 5 in
-  let cdcm_inc_bound_ops = best 6 in
-  let arena_speedup = median_ratio 2 0 in
-  let cutoff_speedup = median_ratio 4 0 in
-  (* The tentpole ratio: bounding candidates against the incumbent
-     through the incremental evaluator vs the arena+cutoff simulation
-     path it replaces, on the identical candidate stream.  This is the
-     pruning regime the evaluator serves — most candidates sit well
-     above the best known cost, and the analytic bound rejects them
-     without entering the simulator. *)
-  let incremental_speedup = median_ratio 6 4 in
-  let inc_delta_hit_percent =
-    let s = Mapping.Cost_cdcm_incremental.stats cdcm_inc in
-    100.0
-    *. float_of_int s.Mapping.Cost_cdcm_incremental.delta_hits
-    /. float_of_int (max 1 s.Mapping.Cost_cdcm_incremental.queries)
-  in
-  (* Local search must be trajectory-identical with and without the
-     incremental evaluator: its bound threshold is an exact accept test,
-     and the analytic bound only rejects candidates the plain objective
-     would also have discarded. *)
-  let ls_identical =
-    let initial = pick 0 in
-    let run objective =
-      Mapping.Local_search.search ~objective ~tiles ~initial ()
-    in
-    let plain = run (Mapping.Objective.cdcm ~tech ~params ~crg ~cdcg ()) in
-    let inc =
-      run (Mapping.Objective.cdcm ~incremental:true ~tech ~params ~crg ~cdcg ())
-    in
-    plain.Mapping.Objective.placement = inc.Mapping.Objective.placement
-    && plain.Mapping.Objective.cost = inc.Mapping.Objective.cost
-    && plain.Mapping.Objective.evaluations = inc.Mapping.Objective.evaluations
-  in
-  (* Instrumentation tax from the cleanest window of each side.  On a
-     busy machine this estimate still carries several points of noise, so
-     the CI gate checks it against a fixed ceiling rather than a delta
-     from the baseline; the <= 5% budget claim holds on quiet machines. *)
-  let metrics_overhead =
-    100.0 *. (1.0 -. (cdcm_arena_metrics_ops /. Float.max cdcm_arena_ops 1e-9))
-  in
-  (* Evaluation cache: converged annealing on the ablation instance,
-     cached vs uncached.  Results must be bit-identical; the hit rate
-     and the wall-clock ratio land in the JSON. *)
-  let sa_config =
-    {
-      (Mapping.Annealing.default_config ~tiles) with
-      Mapping.Annealing.prune = Some 20.0;
-      patience = 40;
-    }
-  in
-  let sa_run objective =
-    Mapping.Annealing.search
-      ~rng:(Rng.create ~seed:(seed + 37))
-      ~config:sa_config ~tiles ~objective ~cores ()
-  in
-  let t0 = wall () in
-  let sa_plain = sa_run (Mapping.Objective.cdcm ~tech ~params ~crg ~cdcg ()) in
-  let sa_plain_seconds = wall () -. t0 in
-  let symmetry =
-    Nocmap_noc.Symmetry.of_crg ~level:Nocmap_noc.Symmetry.Paths crg
-  in
-  let sa_cache = Mapping.Eval_cache.create ~symmetry ~cores () in
-  let t0 = wall () in
-  let sa_cached =
-    sa_run
-      (Mapping.Objective.with_cache sa_cache
-         (Mapping.Objective.cdcm ~tech ~params ~crg ~cdcg ()))
-  in
-  let sa_cached_seconds = wall () -. t0 in
-  let sa_identical =
-    sa_plain.Mapping.Objective.placement = sa_cached.Mapping.Objective.placement
-    && sa_plain.Mapping.Objective.cost = sa_cached.Mapping.Objective.cost
-    && sa_plain.Mapping.Objective.evaluations
-       = sa_cached.Mapping.Objective.evaluations
-  in
-  let sa_hit_rate = 100.0 *. Mapping.Eval_cache.hit_rate sa_cache in
-  (* Checkpointed annealing at the default journal cadence: the cost of
-     crash-safety must stay in the noise, and a run killed mid-search
-     then resumed over the same store must land bit-identical on the
-     plain result.  Both sides take the best of three runs so machine
-     noise does not read as checkpoint overhead. *)
-  let plain_objective () = Mapping.Objective.cdcm ~tech ~params ~crg ~cdcg () in
-  let min_of_3 f =
-    let best = ref infinity in
-    let result = ref None in
-    for _ = 1 to 3 do
-      let t0 = wall () in
-      let r = f () in
-      best := Float.min !best (wall () -. t0);
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
-  let temp_store () =
-    let path = Filename.temp_file "nocmap" ".ckpt" in
-    Sys.remove path;
-    Nocmap_persist.Store.open_ ~dir:path
-  in
-  let persisted_sa ?(every = Mapping.Search_persist.default_every) ?stop store =
-    Mapping.Search_persist.refine ~store ~key:"bench-sa" ~every
-      ~rng:(Rng.create ~seed:(seed + 37))
-      (Mapping.Refiner.Sa sa_config) ~tiles ~objective:(plain_objective ()) ?stop
-      ~cores ()
-  in
-  let sa_unjournaled, plain_seconds =
-    min_of_3 (fun () -> sa_run (plain_objective ()))
-  in
-  let _, journaled_seconds =
-    (* A fresh store per rep, or the second rep would just replay. *)
-    min_of_3 (fun () -> persisted_sa (temp_store ()))
-  in
-  let checkpoint_overhead =
-    100.0 *. ((journaled_seconds /. Float.max plain_seconds 1e-9) -. 1.0)
-  in
-  let kill_store = temp_store () in
-  let stop =
-    let polls = ref 0 in
-    fun () ->
-      incr polls;
-      !polls > 900
-  in
-  ignore (persisted_sa ~every:200 ~stop kill_store);
-  let sa_resumed = persisted_sa ~every:200 kill_store in
-  let checkpoint_identical =
-    sa_resumed.Mapping.Objective.placement
-    = sa_unjournaled.Mapping.Objective.placement
-    && sa_resumed.Mapping.Objective.cost = sa_unjournaled.Mapping.Objective.cost
-    && sa_resumed.Mapping.Objective.evaluations
-       = sa_unjournaled.Mapping.Objective.evaluations
-  in
-  (* Racing portfolio: cost evaluations for a spiral/greedy/SA/tabu
-     portfolio to reach the converged cost of a solo quick-SA run, vs
-     that solo run's own evaluation count.  The solo reference burns
-     the exact RNG substream the portfolio hands its SA leg
-     ([Rng.split] of the same root), so the target is the quality a
-     lone racer reaches and the ratio measures what constructive
-     seeding plus racing buys.  Evaluations are the unit that
-     dominates wall time and they are deterministic for a fixed seed,
-     so the gate on this ratio holds across machines. *)
-  let pf_config = Mapping.Portfolio.quick_config ~tiles in
-  let pf_root () = Rng.create ~seed:(seed + 47) in
-  let sa_ref =
-    Mapping.Annealing.search
-      ~rng:(Rng.split (pf_root ()))
-      ~config:pf_config.Mapping.Portfolio.sa ~tiles
-      ~objective:(plain_objective ()) ~cores ()
-  in
-  let pf_report =
-    Mapping.Portfolio.search ~rng:(pf_root ()) ~config:pf_config
-      ~strategies:Mapping.Portfolio.[ Spiral; Greedy; Sa; Tabu ]
-      ~tech ~crg ~cwg
-      ~objective_for:(fun _ -> plain_objective ())
-      ~target:sa_ref.Mapping.Objective.cost ()
-  in
-  let portfolio_reached =
-    pf_report.Mapping.Portfolio.result.Mapping.Objective.cost
-    <= sa_ref.Mapping.Objective.cost
-  in
-  let portfolio_speedup =
-    float_of_int sa_ref.Mapping.Objective.evaluations
-    /. float_of_int
-         (max 1 pf_report.Mapping.Portfolio.result.Mapping.Objective.evaluations)
-  in
-  (* Decomposition quality: flat quick-SA vs the divide-and-conquer
-     mapper on the 12x12/132-core scaling instance (CWM objective), same
-     root seed — the first rung where a monolithic move space visibly
-     stalls.  Both searches are evaluation-deterministic for a fixed
-     seed, so the ratio is machine-stable: the relative gate tracks
-     algorithmic drift, and the baseline floor asserts the repository
-     never ships a decompose that maps worse than the flat search it
-     exists to beat at scale. *)
-  let d_mesh, d_cwg = List.nth (Nocmap_tgff.Scale.instances ~seed) 1 in
-  let d_crg = Crg.create d_mesh in
-  let d_tiles = Mesh.tile_count d_mesh in
-  let d_cores = Cwg.core_count d_cwg in
-  let d_objective () = Mapping.Objective.cwm ~tech ~crg:d_crg ~cwg:d_cwg in
-  let d_flat =
-    Mapping.Annealing.search
-      ~rng:(Rng.create ~seed:(seed + 53))
-      ~config:(Mapping.Annealing.quick_config ~tiles:d_tiles)
-      ~tiles:d_tiles ~objective:(d_objective ()) ~cores:d_cores ()
-  in
-  let d_report =
-    Mapping.Decompose.search
-      ~rng:(Rng.create ~seed:(seed + 53))
-      ~config:(Mapping.Decompose.quick_config ~tiles:d_tiles)
-      ~crg:d_crg ~cwg:d_cwg ~objective_for:d_objective ()
-  in
-  let decompose_quality =
-    d_flat.Mapping.Objective.cost
-    /. Float.max d_report.Mapping.Decompose.result.Mapping.Objective.cost
-         1e-300
-  in
-  (* The scale wall: CDCM evaluation throughput on the flagship 256-core
-     pipeline (16x16 mesh, 2048 packets), arena-backed exactly as a
-     search would run it.  Raw evals/sec are machine-bound, so the gate
-     holds (a) the committed baseline above an absolute floor and (b)
-     the within-run cost of a 256-core evaluation relative to the small
-     ablation instance below a fixed ceiling — per-evaluation work that
-     grows with the mesh shows up in that ratio on any machine. *)
-  let mesh256, cdcg256 = Nocmap_tgff.Scale.pipeline_256 () in
-  let crg256 = Crg.create mesh256 in
-  let scratch256 = Wormhole.Scratch.create ~crg:crg256 cdcg256 in
-  let tiles256 = Mesh.tile_count mesh256 in
-  let cores256 = Cdcg.core_count cdcg256 in
-  let rng256 = Rng.create ~seed:(seed + 59) in
-  let placements256 =
-    Array.init 8 (fun _ ->
-        Mapping.Placement.random (Rng.split rng256) ~cores:cores256
-          ~tiles:tiles256)
-  in
-  let scale_ops =
-    ops_per_sec_in
-      (Float.max window 0.5)
-      (fun i ->
-        ignore
-          (Mapping.Cost_cdcm.total_energy ~scratch:scratch256 ~tech ~params
-             ~crg:crg256 ~cdcg:cdcg256
-             placements256.(i mod Array.length placements256)))
-  in
-  let scale_eval_cost_ratio = cdcm_arena_ops /. Float.max scale_ops 1e-9 in
-  (* Symmetry-reduced exhaustive search: a 5-core CDCM instance on the
-     3x3 mesh, full enumeration vs canonical representatives only. *)
-  let es_cdcg =
-    Nocmap_tgff.Generator.generate
-      (Rng.create ~seed:(seed + 41))
-      (Nocmap_tgff.Generator.default_spec ~name:"es-cache" ~cores:5 ~packets:20
-         ~total_bits:4_000)
-  in
-  let es_objective = Mapping.Objective.cdcm ~tech ~params ~crg ~cdcg:es_cdcg () in
-  let es_full = Mapping.Exhaustive.search ~objective:es_objective ~cores:5 ~tiles () in
-  let es_reduced =
-    Mapping.Exhaustive.search ~objective:es_objective ~cores:5 ~tiles ~symmetry ()
-  in
-  let es_identical =
-    es_full.Mapping.Objective.placement = es_reduced.Mapping.Objective.placement
-    && es_full.Mapping.Objective.cost = es_reduced.Mapping.Objective.cost
-  in
-  let es_fraction =
-    float_of_int es_reduced.Mapping.Objective.evaluations
-    /. float_of_int es_full.Mapping.Objective.evaluations
-  in
-  (* Sequential vs parallel wall time over a Table 2 slice. *)
-  let instances =
-    Nocmap_tgff.Suite.instances ~seed |> List.filteri (fun i _ -> i < suite_size)
-  in
-  let table2_slice pool =
-    Nocmap.Table2.run ~config:Experiment.quick_config ~instances ?pool ~seed ()
-  in
-  let fingerprint (t : Nocmap.Table2.t) =
-    List.concat_map
-      (fun (s_ : Nocmap.Table2.size_summary) ->
-        List.map
-          (fun (o : Experiment.outcome) ->
-            ( o.Experiment.app,
-              o.Experiment.etr_percent,
-              o.Experiment.ecs_low_percent,
-              o.Experiment.ecs_high_percent,
-              o.Experiment.cdcm_high.Mapping.Cost_cdcm.total ))
-          s_.Nocmap.Table2.outcomes)
-      t.Nocmap.Table2.sizes
-  in
-  let t0 = wall () in
-  let sequential = table2_slice None in
-  let seq_seconds = wall () -. t0 in
-  let jobs = Nocmap_util.Domain_pool.default_jobs () in
-  let t0 = wall () in
-  let parallel =
-    Nocmap_util.Domain_pool.with_pool ~jobs (fun pool -> table2_slice (Some pool))
-  in
-  let par_seconds = wall () -. t0 in
-  let identical = fingerprint sequential = fingerprint parallel in
-  (* 3-D generalization gates: a CxRx1 stack must be the planar CxR bit
-     for bit — same CWM costs over a random sample and the same CDCM SA
-     trajectory — and the equal-tile-budget 2-D vs 3-D comparison
-     behind the EXPERIMENTS.md worked example lands in the JSON as info
-     metrics. *)
-  let n3d_cdcg, n3d_mesh2d, n3d_mesh3d = noc3d_instances () in
-  let n3d_mesh_folded = Mesh.create3 ~cols:4 ~rows:4 ~layers:1 in
-  let n3d_cores = Cdcg.core_count n3d_cdcg in
-  let n3d_sa mesh =
-    let crg = Crg.create mesh in
-    let tiles = Mesh.tile_count mesh in
-    Mapping.Annealing.search
-      ~rng:(Rng.create ~seed:(seed + 61))
-      ~config:(Mapping.Annealing.quick_config ~tiles)
-      ~tiles
-      ~objective:(Mapping.Objective.cdcm ~tech ~params ~crg ~cdcg:n3d_cdcg ())
-      ~cores:n3d_cores ()
-  in
-  let n3d_flat = n3d_sa n3d_mesh2d in
-  let n3d_folded = n3d_sa n3d_mesh_folded in
-  let n3d_cwm_identical =
-    let crg2d = Crg.create n3d_mesh2d in
-    let crg3d = Crg.create n3d_mesh_folded in
-    let cwg3d = Cwg.of_cdcg n3d_cdcg in
-    let rng = Rng.create ~seed:(seed + 62) in
-    let ok = ref true in
-    for _ = 1 to 32 do
-      let p =
-        Mapping.Placement.random (Rng.split rng) ~cores:n3d_cores
-          ~tiles:(Mesh.tile_count n3d_mesh2d)
-      in
-      if
-        Mapping.Cost_cwm.dynamic_energy ~tech ~crg:crg2d ~cwg:cwg3d p
-        <> Mapping.Cost_cwm.dynamic_energy ~tech ~crg:crg3d ~cwg:cwg3d p
-      then ok := false
-    done;
-    !ok
-  in
-  let table2_3d_identical =
-    n3d_cwm_identical
-    && n3d_flat.Mapping.Objective.placement
-       = n3d_folded.Mapping.Objective.placement
-    && n3d_flat.Mapping.Objective.cost = n3d_folded.Mapping.Objective.cost
-    && n3d_flat.Mapping.Objective.evaluations
-       = n3d_folded.Mapping.Objective.evaluations
-  in
-  let n3d_table =
-    Nocmap.Table2.run ~config:Experiment.quick_config
-      ~instances:[ (n3d_mesh2d, n3d_cdcg); (n3d_mesh3d, n3d_cdcg) ]
-      ~seed ()
-  in
-  let n3d_row mesh =
-    List.find
-      (fun (s_ : Nocmap.Table2.size_summary) -> s_.Nocmap.Table2.mesh = mesh)
-      n3d_table.Nocmap.Table2.sizes
-  in
-  let n3d_2d = n3d_row n3d_mesh2d in
-  let n3d_3d = n3d_row n3d_mesh3d in
   let json =
-    Printf.sprintf
-      {|{
-  "bench": "nocmap",
-  "seed": %d,
-  "budget": %S,
-  "cwm_eval_ops_per_sec": %.1f,
-  "cdcm_eval_seed_baseline_ops_per_sec": %.1f,
-  "cdcm_eval_fresh_ops_per_sec": %.1f,
-  "cdcm_eval_arena_ops_per_sec": %.1f,
-  "cdcm_eval_arena_metrics_ops_per_sec": %.1f,
-  "cdcm_eval_arena_cutoff_ops_per_sec": %.1f,
-  "cdcm_eval_arena_cutoff_move_ops_per_sec": %.1f,
-  "cdcm_incremental_bound_ops_per_sec": %.1f,
-  "cdcm_incremental_delta_hit_percent": %.1f,
-  "cdcm_arena_speedup": %.2f,
-  "cdcm_arena_cutoff_speedup": %.2f,
-  "cdcm_incremental_speedup": %.2f,
-  "cdcm_incremental_ls_identical": %b,
-  "metrics_overhead_percent": %.2f,
-  "cache_sa_hit_rate_percent": %.1f,
-  "cache_sa_speedup": %.2f,
-  "cache_sa_identical": %b,
-  "checkpoint_overhead_percent": %.2f,
-  "checkpoint_sa_identical": %b,
-  "portfolio_speedup_to_quality": %.2f,
-  "portfolio_reached_quality": %b,
-  "decompose_vs_flat_quality": %.4f,
-  "scale_256core_eval_ops_per_sec": %.2f,
-  "scale_eval_cost_ratio": %.1f,
-  "cache_exhaustive_eval_fraction": %.4f,
-  "cache_exhaustive_identical": %b,
-  "table2_3d_identical": %b,
-  "noc3d_2d_etr_percent": %.1f,
-  "noc3d_2d_ecs_high_percent": %.1f,
-  "noc3d_3d_etr_percent": %.1f,
-  "noc3d_3d_ecs_high_percent": %.1f,
-  "suite_instances": %d,
-  "suite_jobs": %d,
-  "suite_sequential_seconds": %.3f,
-  "suite_parallel_seconds": %.3f,
-  "suite_parallel_speedup": %.2f,
-  "suite_parallel_identical": %b
-}
-|}
-      seed
-      (if scale_mode then "scale"
-       else
-         match budget with
-         | Experiment.Quick -> "quick"
-         | Experiment.Standard -> "standard"
-         | Experiment.Thorough -> "thorough")
-      cwm_ops cdcm_baseline_ops cdcm_fresh_ops cdcm_arena_ops
-      cdcm_arena_metrics_ops cdcm_cutoff_ops cdcm_cutoff_move_ops
-      cdcm_inc_bound_ops inc_delta_hit_percent arena_speedup cutoff_speedup
-      incremental_speedup ls_identical metrics_overhead sa_hit_rate
-      (sa_plain_seconds /. Float.max sa_cached_seconds 1e-9)
-      sa_identical checkpoint_overhead checkpoint_identical
-      portfolio_speedup portfolio_reached decompose_quality scale_ops
-      scale_eval_cost_ratio es_fraction es_identical table2_3d_identical
-      n3d_2d.Nocmap.Table2.etr_percent n3d_2d.Nocmap.Table2.ecs_high_percent
-      n3d_3d.Nocmap.Table2.etr_percent n3d_3d.Nocmap.Table2.ecs_high_percent
-      (List.length instances) jobs seq_seconds par_seconds
-      (seq_seconds /. Float.max par_seconds 1e-9)
-      identical
+    List.concat_map json_fields measurements
+    |> List.map (fun (key, value) -> Printf.sprintf "  %S: %s" key value)
+    |> String.concat ",\n"
+    |> Printf.sprintf "{\n%s\n}\n"
   in
   let oc = open_out "BENCH_nocmap.json" in
   output_string oc json;
@@ -1153,20 +1296,6 @@ let bechamel_report () =
    at a glance. *)
 let scale_profile () =
   banner "Scaling profile (SCALE_profile.csv, SCALE_heatmap.csv)";
-  let wall = Unix.gettimeofday in
-  let tech = Technology.t007 in
-  let params = example_params in
-  let ops_per_sec f =
-    f 0;
-    let t0 = wall () in
-    let stop = t0 +. 0.5 in
-    let n = ref 0 in
-    while wall () < stop do
-      f !n;
-      incr n
-    done;
-    float_of_int !n /. (wall () -. t0)
-  in
   let table =
     Tablefmt.create
       ~columns:
@@ -1207,7 +1336,7 @@ let scale_profile () =
       in
       let cwm_ops =
         let cwm = Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg in
-        ops_per_sec (fun j -> ignore (cwm placements.(j mod Array.length placements)))
+        ops_per_sec 0.5 (fun j -> ignore (cwm placements.(j mod Array.length placements)))
       in
       let pipe_cores = Cdcg.core_count cdcg in
       let pipe_placements =
@@ -1216,7 +1345,7 @@ let scale_profile () =
       in
       let scratch = Wormhole.Scratch.create ~crg cdcg in
       let cdcm_ops =
-        ops_per_sec (fun j ->
+        ops_per_sec 0.5 (fun j ->
             ignore
               (Mapping.Cost_cdcm.total_energy ~scratch ~tech ~params ~crg ~cdcg
                  pipe_placements.(j mod Array.length pipe_placements)))
@@ -1308,15 +1437,13 @@ let scale_profile () =
     (List.length report256.Mapping.Decompose.regions)
     report256.Mapping.Decompose.cut report256.Mapping.Decompose.total
 
+
 (* --- benchmark regression gate: `bench/main.exe --compare BASE CUR` ---
 
-   Compares two BENCH_nocmap.json files and fails (exit 1) when a gated
-   metric regresses beyond the tolerance, or (exit 2) when a gated
-   metric is missing or malformed in either file.  Raw ops/sec numbers
-   are machine-dependent, so the gate covers only within-run ratios
-   (speedups vs the frozen seed simulator, the metrics tax, cache hit
-   rate, symmetry eval fraction) and the bit-identity booleans; the raw
-   throughputs are reported for information only. *)
+   Compares two BENCH_nocmap.json files row by row over [measurements]:
+   exit 1 when a gated key regresses, exit 2 when a declared key is
+   missing or malformed in either file or a file holds a key no
+   declaration names. *)
 
 let parse_flat_json path =
   let text =
@@ -1364,236 +1491,163 @@ let parse_flat_json path =
   done;
   List.rev !fields
 
-let compare_field fields path key =
-  match List.assoc_opt key fields with
-  | Some raw -> raw
-  | None ->
-      Printf.eprintf "bench-compare: metric %S missing from %s\n" key path;
-      exit 2
+let malformed path key what raw =
+  Printf.eprintf "bench-compare: metric %S in %s is not %s: %s\n" key path what raw;
+  exit 2
 
-let compare_float fields path key =
-  let raw = compare_field fields path key in
-  match float_of_string_opt raw with
-  | Some v -> v
-  | None ->
-      Printf.eprintf "bench-compare: metric %S in %s is not a number: %s\n" key
-        path raw;
-      exit 2
+let gate_name m =
+  let floor = function Some f -> Printf.sprintf ", baseline >= %g" f | None -> "" in
+  match m.source with
+  | Number { check = Report_only; _ } | Timing _ | Text _ -> "report"
+  | Number { check = Ceiling c; _ } -> Printf.sprintf "<= %g" c
+  | Number { check = Baseline_floor f; _ } -> Printf.sprintf "baseline >= %g" f
+  | Number { check = Relative { better; slack; baseline_floor }; _ } ->
+    Printf.sprintf "%s%s%s"
+      (match better with Higher -> "higher" | Lower -> "lower")
+      (if slack = 0.0 then ", exact" else Printf.sprintf ", %g%%" (100.0 *. slack))
+      (floor baseline_floor)
+  | Flag _ -> "true"
 
-let compare_bool fields path key =
-  let raw = compare_field fields path key in
-  match bool_of_string_opt raw with
-  | Some v -> v
-  | None ->
-      Printf.eprintf "bench-compare: metric %S in %s is not a boolean: %s\n" key
-        path raw;
-      exit 2
-
-type gate_direction = Higher_better | Lower_better
-
-let run_compare ~baseline_path ~current_path ~tolerance_percent =
-  let baseline = parse_flat_json baseline_path in
-  let current = parse_flat_json current_path in
-  let tol = tolerance_percent /. 100.0 in
-  let checks = ref [] in
-  (* (key, baseline repr, current repr, status) in insertion order *)
-  let record key b c status = checks := (key, b, c, status) :: !checks in
-  let failures = ref 0 in
-  let gate_ratio key direction =
-    let b = compare_float baseline baseline_path key in
-    let c = compare_float current current_path key in
-    let ok =
-      match direction with
-      | Higher_better -> c >= b *. (1.0 -. tol)
-      | Lower_better -> c <= b *. (1.0 +. tol)
+(* One row of the comparison: what each side shows, and the verdict.
+   [b] and [c] look a key up in the baseline and the current file. *)
+let compare_row m ~b ~c =
+  let number read key =
+    let path, raw = read key in
+    match float_of_string_opt raw with
+    | Some v -> v
+    | None -> malformed path key "a number" raw
+  in
+  let raw read = snd (read m.key) in
+  match m.source with
+  | Text _ -> (raw b, raw c, "info")
+  | Flag _ ->
+    let flag read =
+      let path, raw = read m.key in
+      match bool_of_string_opt raw with
+      | Some v -> v
+      | None -> malformed path m.key "a boolean" raw
     in
-    if not ok then incr failures;
-    record key (Printf.sprintf "%.4f" b) (Printf.sprintf "%.4f" c)
-      (if ok then "ok" else "regression")
+    let (_ : bool) = flag b in
+    (raw b, raw c, if flag c then "ok" else "regression")
+  | Timing _ ->
+    let shown read =
+      let (_ : float) = number read m.key +. number read (iqr_key m.key) in
+      Printf.sprintf "%s (iqr %s)" (raw read) (snd (read (iqr_key m.key)))
+    in
+    (shown b, shown c, "info")
+  | Number { check; _ } ->
+    let vb = number b m.key and vc = number c m.key in
+    let status =
+      match check with
+      | Report_only -> "info"
+      | Ceiling ceiling -> if vc <= ceiling then "ok" else "regression"
+      | Baseline_floor floor | Relative { baseline_floor = Some floor; _ }
+        when vb < floor ->
+        Printf.sprintf "baseline below %g" floor
+      | Baseline_floor _ -> "ok"
+      | Relative { better = Higher; slack; _ } ->
+        if vc < vb *. (1.0 -. slack) then "regression" else "ok"
+      | Relative { better = Lower; slack; _ } ->
+        if vc > vb *. (1.0 +. slack) then "regression" else "ok"
+    in
+    (raw b, raw c, status)
+
+let run_compare ~baseline_path ~current_path =
+  let declared =
+    List.concat_map
+      (fun m -> match m.source with Timing _ -> [ m.key; iqr_key m.key ] | _ -> [ m.key ])
+      measurements
   in
-  (* [metrics_overhead_percent] sits near zero and carries several
-     points of measurement noise on shared machines, so neither a
-     relative tolerance nor a baseline delta is meaningful; gate it
-     against a fixed absolute ceiling that still catches a genuine
-     instrumentation blow-up (a per-event allocation shows up as tens of
-     points).  The baseline value must still be present and is shown for
-     context. *)
-  let gate_ceiling key ceiling =
-    let b = compare_float baseline baseline_path key in
-    let c = compare_float current current_path key in
-    let ok = c <= ceiling in
-    if not ok then incr failures;
-    record key (Printf.sprintf "%.2f" b) (Printf.sprintf "%.2f" c)
-      (if ok then "ok" else "regression")
+  let reader path =
+    let fields = parse_flat_json path in
+    List.iter
+      (fun (key, _) ->
+        if not (List.mem key declared) then begin
+          Printf.eprintf "bench-compare: metric %S in %s is not declared\n" key path;
+          exit 2
+        end)
+      fields;
+    fun key ->
+      match List.assoc_opt key fields with
+      | Some raw -> (path, raw)
+      | None ->
+        Printf.eprintf "bench-compare: metric %S missing from %s\n" key path;
+        exit 2
   in
-  let gate_bool key =
-    let b = compare_bool baseline baseline_path key in
-    let c = compare_bool current current_path key in
-    let ok = c in
-    if not ok then incr failures;
-    record key (string_of_bool b) (string_of_bool c)
-      (if ok then "ok" else "regression")
+  let b = reader baseline_path and c = reader current_path in
+  let rows =
+    List.map
+      (fun m ->
+        let baseline, current, status = compare_row m ~b ~c in
+        (m, baseline, current, status))
+      measurements
   in
-  let report_only key =
-    let b = compare_float baseline baseline_path key in
-    let c = compare_float current current_path key in
-    record key (Printf.sprintf "%.1f" b) (Printf.sprintf "%.1f" c) "info"
+  let regressions =
+    List.length
+      (List.filter (fun (_, _, _, status) -> status <> "ok" && status <> "info") rows)
   in
-  (* A floor on the committed baseline: unlike [gate_ratio] this is
-     deterministic (it reads the checked-in JSON, not this machine's
-     run), so it asserts the repository never ships a baseline whose
-     key is missing or below the promised value.  The ratio gate then
-     holds the current run near that baseline. *)
-  let gate_baseline_floor key floor =
-    let b = compare_float baseline baseline_path key in
-    let c = compare_float current current_path key in
-    let ok = b >= floor in
-    if not ok then incr failures;
-    record key (Printf.sprintf "%.4f" b) (Printf.sprintf "%.4f" c)
-      (if ok then "ok" else Printf.sprintf "baseline below %.1f" floor)
-  in
-  List.iter report_only
-    [
-      "cwm_eval_ops_per_sec";
-      "cdcm_eval_seed_baseline_ops_per_sec"; "cdcm_eval_fresh_ops_per_sec";
-      "cdcm_eval_arena_ops_per_sec"; "cdcm_eval_arena_metrics_ops_per_sec";
-      "cdcm_eval_arena_cutoff_ops_per_sec";
-      "cdcm_eval_arena_cutoff_move_ops_per_sec";
-      "cdcm_incremental_bound_ops_per_sec";
-      "cdcm_incremental_delta_hit_percent"; "suite_parallel_speedup";
-      "cache_sa_speedup"; "noc3d_2d_etr_percent"; "noc3d_2d_ecs_high_percent";
-      "noc3d_3d_etr_percent"; "noc3d_3d_ecs_high_percent";
-    ];
-  gate_ratio "cdcm_arena_speedup" Higher_better;
-  gate_ratio "cdcm_arena_cutoff_speedup" Higher_better;
-  gate_ratio "cdcm_incremental_speedup" Higher_better;
-  gate_baseline_floor "cdcm_incremental_speedup" 3.0;
-  gate_bool "cdcm_incremental_ls_identical";
-  gate_ratio "cache_sa_hit_rate_percent" Higher_better;
-  gate_ratio "cache_exhaustive_eval_fraction" Lower_better;
-  gate_ceiling "metrics_overhead_percent" 30.0;
-  (* One journal append per 10k evaluations costs well under 2%; the
-     fixed ceiling leaves room for shared-machine timing noise while
-     still catching a per-evaluation write sneaking in. *)
-  gate_ceiling "checkpoint_overhead_percent" 5.0;
-  (* The racing portfolio must reach solo-SA quality in no more
-     evaluations than solo SA spends getting there; the ratio is
-     evaluation-count based, hence deterministic per seed, so the
-     relative gate tracks algorithmic drift rather than machine
-     noise. *)
-  gate_ratio "portfolio_speedup_to_quality" Higher_better;
-  gate_baseline_floor "portfolio_speedup_to_quality" 1.0;
-  gate_bool "portfolio_reached_quality";
-  (* Decompose must map the fixed scaling instance at least as well as
-     the flat quick SA it exists to beat; the ratio is
-     evaluation-deterministic per seed, so the relative gate tracks
-     algorithmic drift rather than machine noise. *)
-  gate_ratio "decompose_vs_flat_quality" Higher_better;
-  gate_baseline_floor "decompose_vs_flat_quality" 1.0;
-  (* 256-core evals/sec is machine-bound, so the committed baseline
-     carries the promise (the repository never ships a baseline below
-     the floor), while the within-run cost of a 256-core evaluation
-     relative to the small ablation instance is held under a fixed
-     ceiling — a per-evaluation O(tiles^2) regression blows that ratio
-     up on any machine. *)
-  gate_baseline_floor "scale_256core_eval_ops_per_sec" 50.0;
-  gate_ceiling "scale_eval_cost_ratio" 1000.0;
-  gate_bool "suite_parallel_identical";
-  gate_bool "cache_sa_identical";
-  gate_bool "cache_exhaustive_identical";
-  gate_bool "checkpoint_sa_identical";
-  (* A CxRx1 stacked mesh must stay bit-identical to the planar CxR:
-     same CWM costs and the same CDCM annealing trajectory. *)
-  gate_bool "table2_3d_identical";
-  let checks = List.rev !checks in
   let table =
     Tablefmt.create
       ~columns:
-        [ ("metric", Tablefmt.Left); ("baseline", Tablefmt.Right);
-          ("current", Tablefmt.Right); ("status", Tablefmt.Left) ]
+        [ ("metric", Tablefmt.Left); ("layer", Tablefmt.Left); ("unit", Tablefmt.Left);
+          ("baseline", Tablefmt.Right); ("current", Tablefmt.Right);
+          ("gate", Tablefmt.Left); ("status", Tablefmt.Left) ]
       ()
   in
-  List.iter (fun (k, b, c, s) -> Tablefmt.add_row table [ k; b; c; s ]) checks;
-  banner
-    (Printf.sprintf "Benchmark comparison: %s vs %s (tolerance %.0f%%)"
-       baseline_path current_path tolerance_percent);
+  List.iter
+    (fun (m, baseline, current, status) ->
+      Tablefmt.add_row table
+        [ m.key; m.layer; m.unit_; baseline; current; gate_name m; status ])
+    rows;
+  banner (Printf.sprintf "Benchmark comparison: %s vs %s" baseline_path current_path);
   Tablefmt.print table;
   let json =
-    let rows =
-      List.map
-        (fun (k, b, c, s) ->
-          Printf.sprintf
-            {|    { "metric": %S, "baseline": %S, "current": %S, "status": %S }|}
-            k b c s)
-        checks
-      |> String.concat ",\n"
-    in
-    Printf.sprintf
-      {|{
-  "baseline": %S,
-  "current": %S,
-  "tolerance_percent": %.1f,
-  "regressions": %d,
-  "checks": [
-%s
-  ]
-}
-|}
-      baseline_path current_path tolerance_percent !failures rows
+    List.map
+      (fun (m, baseline, current, status) ->
+        Printf.sprintf
+          {|    { "metric": %S, "layer": %S, "unit": %S, "baseline": %S, "current": %S, "gate": %S, "status": %S }|}
+          m.key m.layer m.unit_ baseline current (gate_name m) status)
+      rows
+    |> String.concat ",\n"
+    |> Printf.sprintf
+         "{\n  \"baseline\": %S,\n  \"current\": %S,\n  \"regressions\": %d,\n  \"checks\": [\n%s\n  ]\n}\n"
+         baseline_path current_path regressions
   in
   let oc = open_out "BENCH_comparison.json" in
   output_string oc json;
   close_out oc;
-  Printf.printf "wrote BENCH_comparison.json (%d regression%s)\n" !failures
-    (if !failures = 1 then "" else "s");
-  if !failures > 0 then exit 1
-
-let compare_dispatch () =
-  match Array.to_list Sys.argv with
-  | _ :: "--compare" :: rest -> (
-      match rest with
-      | [ baseline_path; current_path ] ->
-          run_compare ~baseline_path ~current_path ~tolerance_percent:15.0;
-          true
-      | [ baseline_path; current_path; "--tolerance"; pct ] -> (
-          match float_of_string_opt pct with
-          | Some tolerance_percent when tolerance_percent >= 0.0 ->
-              run_compare ~baseline_path ~current_path ~tolerance_percent;
-              true
-          | Some _ | None ->
-              Printf.eprintf "bench-compare: invalid tolerance %S\n" pct;
-              exit 2)
-      | _ ->
-          Printf.eprintf
-            "usage: bench/main.exe --compare BASELINE CURRENT [--tolerance PCT]\n";
-          exit 2)
-  | _ -> false
+  Printf.printf "wrote BENCH_comparison.json (%d regression%s)\n" regressions
+    (if regressions = 1 then "" else "s");
+  if regressions > 0 then exit 1
 
 let () =
-  if compare_dispatch () then ()
-  else if scale_mode then begin
-    scale_profile ();
-    bench_json ()
-  end
-  else begin
-  fig1 ();
-  fig2 ();
-  fig3 ();
-  fig4_5 ();
-  table1 ();
-  table2 ();
-  table2_3d ();
-  cputime ();
-  related_work ();
-  es_vs_sa ();
-  ablation_routing ();
-  ablation_buffers ();
-  ablation_strategies ();
-  contention_study ();
-  ablation_pareto ();
-  ablation_packetization ();
-  ablation_sa_budget ();
-  bench_json ();
-  bechamel_report ();
-  end;
+  (match Array.to_list Sys.argv with
+  | [ _; "--compare"; baseline_path; current_path ] ->
+      run_compare ~baseline_path ~current_path
+  | _ :: "--compare" :: _ ->
+      prerr_endline "usage: bench/main.exe --compare BASELINE CURRENT";
+      exit 2
+  | _ when scale_mode ->
+      scale_profile ();
+      bench_json ()
+  | _ ->
+      fig1 ();
+      fig2 ();
+      fig3 ();
+      fig4_5 ();
+      table1 ();
+      table2 ();
+      table2_3d ();
+      cputime ();
+      related_work ();
+      es_vs_sa ();
+      ablation_routing ();
+      ablation_buffers ();
+      ablation_strategies ();
+      contention_study ();
+      ablation_pareto ();
+      ablation_packetization ();
+      ablation_sa_budget ();
+      bench_json ();
+      bechamel_report ());
   print_newline ()

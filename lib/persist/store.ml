@@ -51,25 +51,31 @@ let last_record tag records =
     (fun r -> Json.find "type" r = Some (Json.Str tag))
     (List.rev records)
 
-let open_shard ~path ~meta =
-  if not (Sys.file_exists path) then (Journal.create ~path ~meta, [])
+type journal_error = Unreadable of string | Foreign of Json.t
+
+let open_journal ~path ~meta =
+  if not (Sys.file_exists path) then Ok (Journal.create ~path ~meta, [])
   else
     match Journal.reopen ~path with
-    | Error msg -> failwith msg
+    | Error msg -> Error (Unreadable msg)
     | Ok (journal, loaded) when loaded.Journal.meta <> meta ->
       Journal.close journal;
-      failwith
-        (Printf.sprintf
-           "%s: checkpoint does not match this run (recorded %s, expected %s)"
-           path
-           (Json.to_string loaded.Journal.meta)
-           (Json.to_string meta))
-    | Ok (journal, loaded) -> (journal, loaded.Journal.records)
+      Error (Foreign loaded.Journal.meta)
+    | Ok (journal, loaded) -> Ok (journal, loaded.Journal.records)
 
 let shard t ~key ~meta ~encode ~decode ~encode_result ~decode_result ~finished
     run =
   let path = shard_path t ~key in
-  let journal, records = open_shard ~path ~meta in
+  let journal, records =
+    match open_journal ~path ~meta with
+    | Ok opened -> opened
+    | Error (Unreadable msg) -> failwith msg
+    | Error (Foreign recorded) ->
+      failwith
+        (Printf.sprintf
+           "%s: checkpoint does not match this run (recorded %s, expected %s)"
+           path (Json.to_string recorded) (Json.to_string meta))
+  in
   let read field decode r =
     try decode (Json.get field r)
     with Json.Json_error msg | Failure msg ->

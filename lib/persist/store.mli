@@ -28,6 +28,19 @@ val write_manifest : t -> Json.t -> unit
 
 val read_manifest : t -> (Json.t, string) result
 
+type journal_error =
+  | Unreadable of string
+      (** The journal is corrupt or cannot be read (see {!Journal.load}). *)
+  | Foreign of Json.t
+      (** The journal's header records this [meta], not the expected one. *)
+
+val open_journal :
+  path:string -> meta:Json.t -> (Journal.t * Json.t list, journal_error) result
+(** Opens the journal at [path] for appending, with its intact records:
+    a fresh journal whose header carries [meta] when there is no file,
+    otherwise the file reopened (a torn tail dropped) if its header
+    records [meta].  On an error nothing is left open. *)
+
 val shard :
   t ->
   key:string ->

@@ -212,24 +212,12 @@ let create ?(emit = fun _ -> ()) ?(config = default_config) ~dir () =
   else begin
     let store = Store.open_ ~dir in
     let path = Store.shard_path store ~key:queue_key in
-    let fresh () =
-      let journal = Journal.create ~path ~meta:journal_meta in
-      Ok journal
-    in
-    let reopened =
-      if Sys.file_exists path then
-        match Journal.reopen ~path with
-        | Error e -> Error (Printf.sprintf "%s: %s" path e)
-        | Ok (journal, loaded) ->
-          if loaded.Journal.meta <> journal_meta then
-            Error
-              (Printf.sprintf "%s: not a serve queue journal (meta %s)" path
-                 (Json.to_string loaded.Journal.meta))
-          else Ok (journal, loaded.Journal.records)
-      else Result.map (fun j -> (j, [])) (fresh ())
-    in
-    match reopened with
-    | Error _ as e -> e
+    match Store.open_journal ~path ~meta:journal_meta with
+    | Error (Store.Unreadable e) -> Error (Printf.sprintf "%s: %s" path e)
+    | Error (Store.Foreign meta) ->
+      Error
+        (Printf.sprintf "%s: not a serve queue journal (meta %s)" path
+           (Json.to_string meta))
     | Ok (journal, records) ->
       let t =
         {
@@ -251,7 +239,9 @@ let create ?(emit = fun _ -> ()) ?(config = default_config) ~dir () =
           | Error _ as e -> e)
       in
       (match replay records with
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
+      | Error e ->
+        Journal.close journal;
+        Error (Printf.sprintf "%s: %s" path e)
       | Ok () ->
         (* Jobs that already finished leave the pending queue. *)
         let still_pending = Queue.create () in

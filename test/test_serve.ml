@@ -806,9 +806,35 @@ let test_engine_rejects_foreign_journal () =
       ~meta:(Json.Assoc [ ("kind", Json.Str "something-else") ])
   in
   Nocmap_persist.Journal.close j;
-  match Engine.create ~config:fast_config ~dir () with
-  | Ok _ -> Alcotest.fail "opened a foreign journal"
-  | Error msg -> Test_util.check_contains ~msg:"names the problem" ~needle:"serve" msg
+  (* Open descriptors, where the platform lists them. *)
+  let open_fds () =
+    match Sys.readdir "/proc/self/fd" with
+    | fds -> Some (Array.length fds)
+    | exception Sys_error _ -> None
+  in
+  let rejected ~needle dir =
+    let before = open_fds () in
+    for _ = 1 to 3 do
+      match Engine.create ~config:fast_config ~dir () with
+      | Ok _ -> Alcotest.fail "opened an unusable journal"
+      | Error msg -> Test_util.check_contains ~msg:"names the problem" ~needle msg
+    done;
+    Alcotest.(check (option int)) "no descriptor left open" before (open_fds ())
+  in
+  rejected ~needle:"serve" dir;
+  (* A serve journal whose records do not replay is closed too. *)
+  let dir = temp_dir () in
+  let engine, _ = make_engine ~config:fast_config dir in
+  Engine.close engine;
+  let path =
+    Nocmap_persist.Store.shard_path (Nocmap_persist.Store.open_ ~dir) ~key:"serve.jobs"
+  in
+  (match Nocmap_persist.Journal.reopen ~path with
+  | Ok (j, _) ->
+    Nocmap_persist.Journal.append_exn j (Json.Assoc [ ("type", Json.Str "bogus") ]);
+    Nocmap_persist.Journal.close j
+  | Error msg -> Alcotest.fail msg);
+  rejected ~needle:"unknown record type" dir
 
 let test_serve_metrics_registered () =
   Metrics.with_enabled true (fun () ->
