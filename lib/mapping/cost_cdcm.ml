@@ -72,9 +72,8 @@ let evaluate ?scratch ?fault_policy ~tech ~params ~crg ~cdcg placement =
    overflowing its packed-event encoding arithmetic. *)
 let no_cutoff_threshold = 1e15
 
-let evaluate_bound ?scratch ?fault_policy ~tech ~params ~crg ~cdcg ~cutoff
-    placement =
-  let dynamic = dynamic_energy ~tech ~crg ~cdcg placement in
+let bound_of_dynamic ?scratch ?fault_policy ~tech ~params ~crg ~cdcg ~cutoff
+    ~dynamic placement =
   let static_power = Equations.static_power tech ~tiles:(Crg.tile_count crg) in
   if dynamic >= cutoff then
     (* Equation (4) alone already exceeds the budget: the simulation can
@@ -98,6 +97,12 @@ let evaluate_bound ?scratch ?fault_policy ~tech ~params ~crg ~cdcg ~cutoff
     let e = evaluation_of_summary ~tech ~params ~crg ~dynamic summary in
     if summary.Wormhole.truncated then At_least e.total else Exact e
   end
+
+let evaluate_bound ?scratch ?fault_policy ~tech ~params ~crg ~cdcg ~cutoff
+    placement =
+  let dynamic = dynamic_energy ~tech ~crg ~cdcg placement in
+  bound_of_dynamic ?scratch ?fault_policy ~tech ~params ~crg ~cdcg ~cutoff
+    ~dynamic placement
 
 let total_energy ?scratch ?fault_policy ~tech ~params ~crg ~cdcg placement =
   (evaluate ?scratch ?fault_policy ~tech ~params ~crg ~cdcg placement).total

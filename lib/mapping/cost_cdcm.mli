@@ -61,6 +61,22 @@ val evaluate_bound :
     When dynamic energy alone exceeds [cutoff], no simulation runs at
     all. *)
 
+val bound_of_dynamic :
+  ?scratch:Nocmap_sim.Wormhole.Scratch.t ->
+  ?fault_policy:Nocmap_sim.Wormhole.fault_policy ->
+  tech:Nocmap_energy.Technology.t ->
+  params:Nocmap_energy.Noc_params.t ->
+  crg:Nocmap_noc.Crg.t ->
+  cdcg:Nocmap_model.Cdcg.t ->
+  cutoff:float ->
+  dynamic:float ->
+  Placement.t ->
+  bound
+(** {!evaluate_bound} after its {!dynamic_energy} sum, for a caller
+    that already holds that float for a placement it has checked:
+    {!evaluate_bound} is [bound_of_dynamic ~dynamic:(dynamic_energy
+    placement)]. *)
+
 val dynamic_energy :
   tech:Nocmap_energy.Technology.t ->
   crg:Nocmap_noc.Crg.t ->

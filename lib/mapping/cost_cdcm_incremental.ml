@@ -514,12 +514,15 @@ let bound_of_candidate t ~cutoff ~cand ~moved_n =
             lb_link >= cutoff)
       then reject (cand_dynamic +. static_of lmax)
       else begin
+        (* [bound_for] has checked [cand] and stage 1 summed its
+           dynamic energy, so the simulation step takes both as they
+           are. *)
         t.n_full_sim_fallbacks <- t.n_full_sim_fallbacks + 1;
         Metrics.incr m_full_sim_fallbacks;
         match
-          Cost_cdcm.evaluate_bound ~scratch:t.scratch
+          Cost_cdcm.bound_of_dynamic ~scratch:t.scratch
             ~fault_policy:t.fault_policy ~tech:t.tech ~params:t.params
-            ~crg:t.crg ~cdcg:t.cdcg ~cutoff cand
+            ~crg:t.crg ~cdcg:t.cdcg ~cutoff ~dynamic:cand_dynamic cand
         with
         | Cost_cdcm.Exact ev as b ->
           adopt_overlay t ~cand ev;

@@ -25,6 +25,37 @@ val dynamic_energy :
     fewer cores than the CWG has, or when two communicating cores sit on
     tiles with no route between them. *)
 
+val region_energy :
+  tech:Nocmap_energy.Technology.t ->
+  crg:Nocmap_noc.Crg.t ->
+  cwg:Nocmap_model.Cwg.t ->
+  cores:int array ->
+  Placement.t ->
+  float
+(** {!dynamic_energy} for a search that moves only [cores], as a
+    {!Decompose} region does.  Applied to [~tech ~crg ~cwg ~cores], it
+    returns an evaluator for placements that agree with the first
+    placement it accepts everywhere outside [cores]; the caller keeps
+    that contract, as for an {!Eval_cache} with a [support].
+
+    The first accepted call checks the whole placement as
+    {!dynamic_energy} does, records the tiles of the other (frozen)
+    cores, and stores each term between two frozen cores as the float
+    the full fold computes.  After that, a call checks only the [cores]
+    entries (in range, pairwise distinct, not on a frozen core's tile),
+    computes only the terms that touch [cores], and adds every term in
+    {!Nocmap_model.Cwg.communications} order.  So each cost is
+    bit-identical to {!dynamic_energy}'s, and an invalid or unrouted
+    placement raises the same [Invalid_argument].  A warm call
+    allocates nothing but its boxed result.
+
+    The evaluator owns its scratch arrays: one domain at a time may call
+    it.
+    @raise Invalid_argument at creation on a negative or repeated core,
+    and on a call as {!dynamic_energy} does, or when [cores] names a
+    core the first placement does not place, or when the placement's
+    length changed. *)
+
 val ebit_table :
   tech:Nocmap_energy.Technology.t -> crg:Nocmap_noc.Crg.t -> float array
 (** Energy per bit of every route shape the CRG holds: the entry at

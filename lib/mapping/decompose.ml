@@ -139,7 +139,7 @@ let bipartition ~w ~cores ~na ~passes =
     done
   done;
   (* KL gain terms: D(i) = external(i) - internal(i). *)
-  let recompute_d in_a i =
+  let recompute_d (in_a : bool array) i =
     let e = ref 0 and internal = ref 0 in
     for j = 0 to n - 1 do
       if j <> i then

@@ -33,11 +33,15 @@
     call must return a fresh objective ({!Eval_cache} and the simulation
     scratch are single-domain by contract).  When [region_objective_for]
     is given, the region calls go through it instead, with the region's
-    cluster cores and tiles — the hook for a cache whose keys cover only
-    the cores the region actually moves ({!Eval_cache.create}'s
+    cluster cores and tiles.  A region objective is only ever called on
+    the seed placement with that region's cores rewritten, so it may
+    rely on every other core staying put, and one domain at a time
+    calls it.  Two objectives use that contract: a CDCM cache whose keys
+    cover only the cores the region moves ({!Eval_cache.create}'s
     [support]), a ~[cores/region] reduction of the dominant search-time
-    allocation.  Caching never alters results, so both paths are
-    bit-identical. *)
+    allocation, and {!Objective.cwm_region}, which prices only the CWM
+    terms that touch those cores.  Both return the full objective's
+    costs bit for bit, so every path gives the same report. *)
 
 type refiner =
   | Sa     (** {!Annealing.search} inside each region (the default). *)

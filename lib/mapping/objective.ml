@@ -30,6 +30,13 @@ let cwm ~tech ~crg ~cwg =
     bound_fn = None;
   }
 
+let cwm_region ~tech ~crg ~cwg ~cores =
+  {
+    name = "cwm";
+    cost_fn = Cost_cwm.region_energy ~tech ~crg ~cwg ~cores;
+    bound_fn = None;
+  }
+
 let cdcm ?(incremental = false) ~tech ~params ~crg ~cdcg () =
   if not incremental then
     let scratch = Wormhole.Scratch.create ~crg cdcg in

@@ -47,6 +47,17 @@ val cwm :
   t
 (** Equation (3): dynamic energy only.  No [bound_fn]. *)
 
+val cwm_region :
+  tech:Nocmap_energy.Technology.t ->
+  crg:Nocmap_noc.Crg.t ->
+  cwg:Nocmap_model.Cwg.t ->
+  cores:int array ->
+  t
+(** {!cwm} for placements that move only [cores] away from the first
+    placement evaluated ({!Cost_cwm.region_energy}): the same name and
+    bit-identical costs, at the price of the terms that touch [cores].
+    Single-domain. *)
+
 val cdcm :
   ?incremental:bool ->
   tech:Nocmap_energy.Technology.t ->

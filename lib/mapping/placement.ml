@@ -45,7 +45,10 @@ let random rng ~cores ~tiles =
 
 let identity ~cores = Array.init cores Fun.id
 
-let swap_cores placement a b =
+(* The move primitives annotate their placement: the [.mli] type does not
+   reach the compiled code, so an unannotated array would compare tiles
+   with [caml_equal] and write them through [caml_modify]. *)
+let swap_cores (placement : t) a b =
   let p = Array.copy placement in
   p.(a) <- placement.(b);
   p.(b) <- placement.(a);
@@ -57,12 +60,12 @@ let occupant placement ~tiles =
   inv
 
 (* The first core on [tile], or -1. *)
-let rec core_on placement tile core =
+let rec core_on (placement : t) (tile : int) core =
   if core >= Array.length placement then -1
   else if placement.(core) = tile then core
   else core_on placement tile (core + 1)
 
-let move_to_tile placement ~core ~tile =
+let move_to_tile (placement : t) ~core ~tile =
   let p = Array.copy placement in
   let other = core_on placement tile 0 in
   if other >= 0 then p.(other) <- placement.(core);

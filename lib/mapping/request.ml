@@ -177,14 +177,18 @@ let run ?(jobs = 1) ?stop ?persist ?shared ?convergence r =
     if jobs <= 1 then search ~fresh None
     else Domain_pool.with_pool ~jobs (fun pool -> search ~fresh (Some pool))
   in
-  (* A decompose region only moves its own cluster, so its cache keys
-     just those cores (and drops the mesh group, which the frozen context
-     breaks anyway): the dominant cache allocation shrinks by ~[cores /
-     region] compared to a full-key cache per region. *)
+  (* A decompose region only moves its own cluster.  Under CWM its
+     objective prices just the terms that touch those cores; under CDCM
+     its cache keys just those cores (and drops the mesh group, which
+     the frozen context breaks anyway): the dominant cache allocation
+     shrinks by ~[cores / region] compared to a full-key cache per
+     region. *)
   let region_objective_for ~cores:support ~tiles:_ =
-    if memoize then
+    match r.model with
+    | Cwm -> Objective.cwm_region ~tech ~crg ~cwg ~cores:support
+    | Cdcm when memoize ->
       Objective.with_cache (new_cache ~support (Symmetry.identity_only r.mesh)) (base ())
-    else base ()
+    | Cdcm -> base ()
   in
   let store = Option.map (fun p -> p.store) persist in
   let every = Option.map (fun p -> p.every) persist in

@@ -215,6 +215,116 @@ let prop_cwm_fold_bit_identical =
           Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg placement)
       = bits_or_invalid (fun () -> reference_energy ~tech ~crg ~cwg placement))
 
+(* --- the CWM region evaluator against the full fold --- *)
+
+let outcome f =
+  match f () with
+  | e -> Ok (Int64.bits_of_float e)
+  | exception Invalid_argument msg -> Error msg
+
+(* A placement a region search could hand the evaluator: the cores
+   outside [cores] stay where [first] put them, the region's cores take
+   distinct free tiles, and three draws in eight then break it the way
+   the full check refuses: two region cores on one tile, a region core on a
+   frozen core's tile, or a tile out of range. *)
+let region_draw rng ~tiles ~first cores =
+  let p = Array.copy first in
+  let in_region = Array.make (Array.length first) false in
+  Array.iter (fun c -> in_region.(c) <- true) cores;
+  let taken = Array.make tiles false in
+  Array.iteri (fun c t -> if not in_region.(c) then taken.(t) <- true) first;
+  let free = List.filter (fun t -> not taken.(t)) (List.init tiles Fun.id) in
+  let moved =
+    Rng.sample_without_replacement rng (Array.length cores) (Array.of_list free)
+  in
+  Array.iteri (fun k c -> p.(c) <- moved.(k)) cores;
+  let k = Array.length cores and frozen = Array.length first - Array.length cores in
+  (match Rng.int rng 8 with
+  | 0 when k >= 2 -> p.(cores.(0)) <- p.(cores.(1 + Rng.int rng (k - 1)))
+  | 1 when k >= 1 && frozen >= 1 ->
+    let outside = List.filter (fun c -> not in_region.(c)) (List.init (Array.length p) Fun.id) in
+    p.(cores.(Rng.int rng k)) <- p.(List.nth outside (Rng.int rng frozen))
+  | 2 when k >= 1 -> p.(cores.(Rng.int rng k)) <- (if Rng.bool rng then -1 else tiles)
+  | _ -> ());
+  p
+
+(* Over [fold_instance]'s meshes (2-D XY and YX, a torus, stacked and
+   faulted stacked 3-D, where dead routers leave pairs unrouted): a
+   random subset of the cores is the region, and every placement of a
+   stream that keeps the other cores in place gets the full fold's
+   cost, bit for bit, or its [Invalid_argument].  The stream's first
+   placement is already a move, as after a resume, and may be refused,
+   so a later one primes the evaluator. *)
+let prop_cwm_region_bit_identical =
+  QCheck2.Test.make ~name:"CWM region evaluator is bit-identical to the full fold"
+    ~count:(Test_util.prop_count 300)
+    ~print:(fun (shape, seed) -> Printf.sprintf "shape %d seed %d" shape seed)
+    QCheck2.Gen.(pair (0 -- 4) (0 -- 1_000_000))
+    (fun instance ->
+      let crg, tech, cwg, first = fold_instance instance in
+      let rng = Rng.create ~seed:(snd instance + 1) in
+      let tiles = Crg.tile_count crg in
+      let cores =
+        Array.of_list
+          (List.filter (fun _ -> Rng.bool rng) (List.init (Array.length first) Fun.id))
+      in
+      let region = Mapping.Cost_cwm.region_energy ~tech ~crg ~cwg ~cores in
+      let full = Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg in
+      List.for_all
+        (fun p -> outcome (fun () -> region p) = outcome (fun () -> full p))
+        (List.init 12 (fun _ -> region_draw rng ~tiles ~first cores)))
+
+(* A repeated core would make every call see two region cores on one
+   tile, so the evaluator refuses it up front. *)
+let test_cwm_region_repeated_core () =
+  Alcotest.check_raises "repeated core"
+    (Invalid_argument "Cost_cwm.region_energy: core 1 listed twice")
+    (fun () ->
+      let (_ : Mapping.Placement.t -> float) =
+        Mapping.Cost_cwm.region_energy ~tech ~crg ~cwg:Fig1.cwg ~cores:[| 1; 1 |]
+      in
+      ())
+
+(* Words a warm region-evaluator call allocates on the decompose
+   workload's first 96-core application on 12x12, net of the boxed
+   float that every [Placement.t -> float] call returns: none.  A call
+   that copied or materialized the placement would add about 100. *)
+let test_cwm_region_allocation () =
+  let mesh = Mesh.create ~cols:12 ~rows:12 in
+  let crg = Crg.create mesh in
+  let cwg =
+    Cwg.of_cdcg
+      (Nocmap_tgff.Generator.generate (Rng.create ~seed:1)
+         (Nocmap_tgff.Generator.default_spec ~name:"random-1" ~cores:96
+            ~packets:192 ~total_bits:50_000))
+  in
+  let tech = Technology.t007 in
+  let config = Mapping.Decompose.default_config ~tiles:(Mesh.tile_count mesh) in
+  let region =
+    List.hd
+      (Mapping.Decompose.partition ~cwg ~mesh
+         ~max_region:config.Mapping.Decompose.max_region
+         ~kl_passes:config.Mapping.Decompose.kl_passes ())
+  in
+  let cores = region.Mapping.Decompose.cores in
+  let placement = Mapping.Placement.random (Rng.create ~seed:2) ~cores:96 ~tiles:144 in
+  let evaluate = Mapping.Cost_cwm.region_energy ~tech ~crg ~cwg ~cores in
+  ignore (evaluate placement);
+  let a = cores.(0) and b = cores.(1) in
+  let ta = placement.(a) in
+  placement.(a) <- placement.(b);
+  placement.(b) <- ta;
+  Alcotest.(check int64) "warm cost is the full fold's"
+    (Int64.bits_of_float (Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg placement))
+    (Int64.bits_of_float (evaluate placement));
+  let call () = ignore (Sys.opaque_identity (evaluate placement)) in
+  let boxed = Sys.opaque_identity (fun x -> x +. 1.0) in
+  let box () = ignore (Sys.opaque_identity (boxed 0.5)) in
+  let words = Test_util.words_allocated call -. Test_util.words_allocated box in
+  Alcotest.(check bool)
+    (Printf.sprintf "warm call allocates %.0f words besides its result" words)
+    true (words <= 0.0)
+
 (* [communications] and its flat arrays list the positive entries of
    [volume], row by row. *)
 let prop_communications_scan_volume =
@@ -306,6 +416,9 @@ let suite =
       Alcotest.test_case "cwm unreachable pair" `Quick
         test_cwm_unreachable_pair_rejected;
       QCheck_alcotest.to_alcotest prop_cwm_fold_bit_identical;
+      QCheck_alcotest.to_alcotest prop_cwm_region_bit_identical;
+      Alcotest.test_case "cwm region repeated core" `Quick test_cwm_region_repeated_core;
+      Alcotest.test_case "cwm region allocation" `Quick test_cwm_region_allocation;
       QCheck_alcotest.to_alcotest prop_communications_scan_volume;
       Alcotest.test_case "cdcm cost allocation" `Quick test_cdcm_cost_allocation;
     ] )

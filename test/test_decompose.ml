@@ -170,6 +170,10 @@ let config ?(refiner = Mapping.Decompose.Sa) () =
 
 let objective_for seed () = Mapping.Objective.cwm ~tech ~crg ~cwg:(cwg seed)
 
+(* The region objective [Request.run] hands a CWM decompose. *)
+let cwm_region ~tech ~crg ~cwg ~cores ~tiles:_ =
+  Mapping.Objective.cwm_region ~tech ~crg ~cwg ~cores
+
 let run ?refiner ?pool ?stop seed =
   Mapping.Decompose.search ~rng:(Rng.create ~seed) ~config:(config ?refiner ())
     ~crg ~cwg:(cwg seed) ~objective_for:(objective_for seed) ?pool ?stop ()
@@ -207,17 +211,25 @@ let prop_jobs_invariant =
 
 (* --- kill + resume --- *)
 
-let persisted ?refiner ?stop ~store seed =
+let persisted ?refiner ?region_objective_for ?stop ~store seed =
   Mapping.Search_persist.decompose ~store ~key:"decompose" ~every:200
     ~rng:(Rng.create ~seed) ~config:(config ?refiner ()) ~crg ~cwg:(cwg seed)
-    ~objective_name:"cwm" ~objective_for:(objective_for seed) ?stop ()
+    ~objective_name:"cwm" ~objective_for:(objective_for seed)
+    ?region_objective_for ?stop ()
 
-let kill_resume ~refiner ~seed ~kill_at =
+(* With [~hook], the killed and the resumed runs price their regions
+   through the CWM region evaluator.  A resumed region's first call is
+   then a neighbour of the seed, not the seed. *)
+let kill_resume ?(hook = false) ~refiner ~seed ~kill_at () =
   let reference = run ~refiner seed in
+  let region_objective_for =
+    if hook then Some (cwm_region ~tech ~crg ~cwg:(cwg seed)) else None
+  in
+  let persisted = persisted ~refiner ?region_objective_for in
   let store = Store.open_ ~dir:(temp_dir ()) in
-  ignore (persisted ~refiner ~store ~stop:(stop_after kill_at) seed);
-  let resumed = persisted ~refiner ~store seed in
-  let replayed = persisted ~refiner ~store seed in
+  ignore (persisted ~store ~stop:(stop_after kill_at) seed);
+  let resumed = persisted ~store seed in
+  let replayed = persisted ~store seed in
   check_report "resumed vs uninterrupted" reference resumed;
   check_report "replayed vs uninterrupted" reference replayed
 
@@ -233,7 +245,8 @@ let prop_kill_resume_bit_identical =
         (oneofl
            [ Mapping.Decompose.Sa; Mapping.Decompose.Tabu; Mapping.Decompose.Local ]))
     (fun (seed, kill_at, refiner) ->
-      kill_resume ~refiner ~seed ~kill_at;
+      kill_resume ~refiner ~seed ~kill_at ();
+      kill_resume ~hook:true ~refiner ~seed ~kill_at ();
       true)
 
 (* Local regions take a few passes each, so a random kill point rarely
@@ -241,7 +254,7 @@ let prop_kill_resume_bit_identical =
    every early one instead. *)
 let test_local_kill_resume_every_point () =
   for kill_at = 0 to 60 do
-    kill_resume ~refiner:Mapping.Decompose.Local ~seed:0 ~kill_at
+    kill_resume ~refiner:Mapping.Decompose.Local ~seed:0 ~kill_at ()
   done
 
 (* --- fingerprints pin the configuration --- *)
@@ -326,50 +339,85 @@ let report_digest (report : Mapping.Decompose.report) =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* The application [nocmap gen --seed SEED --cores CORES --packets
-   PACKETS] writes, and a CWM decompose of it at the CLI's default
-   technology. *)
-let golden_report ?(routing = Routing.Xy) ~shape ~cores ~packets ~seed
+   PACKETS] writes. *)
+let generated ~cores ~packets ~seed =
+  Nocmap_tgff.Generator.generate (Rng.create ~seed)
+    (Nocmap_tgff.Generator.default_spec
+       ~name:(Printf.sprintf "random-%d" seed)
+       ~cores ~packets ~total_bits:50_000)
+
+(* A CWM decompose of a generated application at the CLI's default
+   technology; with [~hook], its regions go through the CWM region
+   evaluator, as under [Request.run]. *)
+let golden_report ?(routing = Routing.Xy) ~hook ~shape ~cores ~packets ~seed
     ~budget ~jobs () =
   let mesh = Mesh.of_string shape in
   let crg = Crg.create ~routing mesh in
-  let cdcg =
-    Nocmap_tgff.Generator.generate (Rng.create ~seed)
-      (Nocmap_tgff.Generator.default_spec
-         ~name:(Printf.sprintf "random-%d" seed)
-         ~cores ~packets ~total_bits:50_000)
-  in
-  let cwg = Cwg.of_cdcg cdcg in
+  let cwg = Cwg.of_cdcg (generated ~cores ~packets ~seed) in
   let tech = Technology.t007 in
+  let region_objective_for = if hook then Some (cwm_region ~tech ~crg ~cwg) else None in
   let search pool =
     Mapping.Decompose.search ~rng:(Rng.create ~seed)
       ~config:(budget ~tiles:(Mesh.tile_count mesh))
       ~crg ~cwg
       ~objective_for:(fun () -> Mapping.Objective.cwm ~tech ~crg ~cwg)
-      ?pool ()
+      ?region_objective_for ?pool ()
   in
   report_digest
     (if jobs <= 1 then search None
      else Domain_pool.with_pool ~jobs (fun pool -> search (Some pool)))
+
+let digest_12x12 = "7da44938bfdf2e4e313356d5d50d932b"
 
 let test_golden_reports () =
   let check = Alcotest.(check string) in
   let default = Mapping.Decompose.default_config
   and quick = Mapping.Decompose.quick_config in
   List.iter
-    (fun jobs ->
+    (fun hook ->
+      let via = if hook then ", region evaluator" else "" in
+      List.iter
+        (fun jobs ->
+          check
+            (Printf.sprintf "96 cores on 12x12, default config, %d jobs%s" jobs via)
+            digest_12x12
+            (golden_report ~hook ~shape:"12x12" ~cores:96 ~packets:192 ~seed:1
+               ~budget:default ~jobs ()))
+        [ 1; 2 ];
+      check ("24 cores on 4x4x2, quick config" ^ via) "6f9568f1be36c8d1bf1c002fd73387bd"
+        (golden_report ~hook ~shape:"4x4x2" ~cores:24 ~packets:64 ~seed:5
+           ~budget:quick ~jobs:1 ());
       check
-        (Printf.sprintf "96 cores on 12x12, default config, %d jobs" jobs)
-        "7da44938bfdf2e4e313356d5d50d932b"
-        (golden_report ~shape:"12x12" ~cores:96 ~packets:192 ~seed:1
-           ~budget:default ~jobs ()))
-    [ 1; 2 ];
-  check "24 cores on 4x4x2, quick config" "6f9568f1be36c8d1bf1c002fd73387bd"
-    (golden_report ~shape:"4x4x2" ~cores:24 ~packets:64 ~seed:5 ~budget:quick
-       ~jobs:1 ());
-  check "16 cores on a 5x4 torus, quick config"
-    "6c055d232fdcfabce743a1b2f1c15b47"
-    (golden_report ~routing:Routing.Torus_xy ~shape:"5x4" ~cores:16
-       ~packets:48 ~seed:9 ~budget:quick ~jobs:1 ())
+        ("16 cores on a 5x4 torus, quick config" ^ via)
+        "6c055d232fdcfabce743a1b2f1c15b47"
+        (golden_report ~hook ~routing:Routing.Torus_xy ~shape:"5x4" ~cores:16
+           ~packets:48 ~seed:9 ~budget:quick ~jobs:1 ()))
+    [ false; true ]
+
+(* [nocmap map --model cwm --algorithm decompose --jobs 2] of the first
+   12x12 application, through [Request.run]. *)
+let test_request_golden_report () =
+  let request =
+    {
+      Mapping.Request.cdcg = generated ~cores:96 ~packets:192 ~seed:1;
+      mesh = Mesh.of_string "12x12";
+      routing = Routing.Xy;
+      tech = Technology.t007;
+      flit_bits = 16;
+      model = Mapping.Request.Cwm;
+      algorithm = Mapping.Request.Decompose Mapping.Decompose.Sa;
+      seed = 1;
+      budget = Mapping.Request.Standard;
+      incremental = false;
+      cache = true;
+    }
+  in
+  match (Mapping.Request.run ~jobs:2 request).Mapping.Request.details with
+  | Mapping.Request.Regions report ->
+    Alcotest.(check string) "Request.run CWM decompose" digest_12x12
+      (report_digest report)
+  | Mapping.Request.Single | Mapping.Request.Race _ ->
+    Alcotest.fail "a decompose request reports its regions"
 
 let suite =
   ( "decompose",
@@ -388,4 +436,6 @@ let suite =
       Alcotest.test_case "single-region degenerate" `Quick
         test_single_region_degenerate;
       Alcotest.test_case "golden CWM reports" `Quick test_golden_reports;
+      Alcotest.test_case "golden CWM report through Request.run" `Quick
+        test_request_golden_report;
     ] )
