@@ -87,10 +87,13 @@ scale-smoke:
 # CDCM portfolio `map`, a fault campaign (two restarts journaling on
 # the pool at once, then one memo shard per scenario) and a parallel
 # CDCM decompose `map` whose regions run local search (the only path
-# that journals a local-search region state).  Robust at either
-# extreme: a machine fast enough to finish before the kill exercises
-# the replay path, one killed before the first checkpoint exercises the
-# fresh path.
+# that journals a local-search region state), and a CWM decompose `map`
+# on the perfbench workload's shape (96 cores, 192 packets, 12x12),
+# killed 10 ms in: its incremental CWM evaluators keep their record in
+# memory only, so the resumed run rebuilds it from the journaled
+# placements.  Robust at either extreme: a machine fast enough to
+# finish before the kill exercises the replay path, one killed before
+# the first checkpoint exercises the fresh path.
 NOCMAP_CLI := ./_build/default/bin/nocmap_cli.exe
 SMOKE_DIR := _build/resume-smoke
 SMOKE_MAP := map --noc 5x4 --app $(SMOKE_DIR)/app.cdcg --model cdcm \
@@ -98,6 +101,8 @@ SMOKE_MAP := map --noc 5x4 --app $(SMOKE_DIR)/app.cdcg --model cdcm \
 SMOKE_FAULTS := faults --app $(SMOKE_DIR)/app.cdcg --noc 5x4 --seed 5
 SMOKE_DECOMPOSE := map --noc 8x8 --app $(SMOKE_DIR)/app60.cdcg --model cdcm \
 	--algorithm decompose --refiner local --jobs 2
+SMOKE_CWM := map --noc 12x12 --app $(SMOKE_DIR)/app96.cdcg --model cwm \
+	--algorithm decompose --jobs 2 --seed 1
 resume-smoke:
 	dune build bin/nocmap_cli.exe
 	rm -rf $(SMOKE_DIR) && mkdir -p $(SMOKE_DIR)
@@ -127,6 +132,13 @@ resume-smoke:
 	$(NOCMAP_CLI) resume $(SMOKE_DIR)/decompose-ckpt \
 		> $(SMOKE_DIR)/decompose-resumed.txt 2>/dev/null
 	cmp $(SMOKE_DIR)/decompose-reference.txt $(SMOKE_DIR)/decompose-resumed.txt
+	$(NOCMAP_CLI) gen --cores 96 --packets 192 --seed 1 \
+		-o $(SMOKE_DIR)/app96.cdcg >/dev/null
+	$(NOCMAP_CLI) $(SMOKE_CWM) > $(SMOKE_DIR)/cwm-reference.txt 2>/dev/null
+	-timeout --signal=INT --kill-after=60 0.01 $(NOCMAP_CLI) $(SMOKE_CWM) \
+		--checkpoint-dir $(SMOKE_DIR)/cwm-ckpt --checkpoint-every 500 >/dev/null 2>&1
+	$(NOCMAP_CLI) resume $(SMOKE_DIR)/cwm-ckpt > $(SMOKE_DIR)/cwm-resumed.txt 2>/dev/null
+	cmp $(SMOKE_DIR)/cwm-reference.txt $(SMOKE_DIR)/cwm-resumed.txt
 	@echo "resume-smoke: resumed table, maps and campaign byte-identical to the uninterrupted runs"
 
 # Daemon crash-safety smoke: spool two jobs into `nocmap serve`, kill

@@ -413,7 +413,7 @@ let apps_cmd =
         (fun (name, cdcg) ->
           Format.printf "%-14s %a@." name Nocmap_model.Features.pp
             (Nocmap_model.Features.of_cdcg cdcg))
-        Nocmap_apps.Catalog.all
+        (Nocmap_apps.Catalog.all ())
     | Some name -> begin
       match Nocmap_apps.Catalog.find name with
       | Some cdcg -> print_string (Textio.cdcg_to_string cdcg)

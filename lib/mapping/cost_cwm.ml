@@ -68,14 +68,14 @@ let unrouted t placement =
   in
   first 0
 
-(* The fold reads its arrays unchecked: after [check], every core index
-   of the CWG is below [Array.length placement] and every tile below
-   [tiles], so each pair indexes the [tiles * tiles] tables, and a
-   route's [tsv < routers <= max_routers] keeps the table entry in
-   range.  Terms are summed in [Cwg.communications] order, so the float
-   is the same as a checked fold's. *)
-let dynamic_energy ~tech ~crg ~cwg =
-  let t = tables ~tech ~crg ~cwg in
+(* The full fold, specialised to a planar or a stacked mesh.  It reads
+   its arrays unchecked: after [check], every core index of the CWG is
+   below [Array.length placement] and every tile below [tiles], so each
+   pair indexes the [tiles * tiles] tables, and a route's
+   [tsv < routers <= max_routers] keeps the table entry in range.  Terms
+   are summed in [Cwg.communications] order, so the float is the same as
+   a checked fold's. *)
+let fold t =
   let table = t.table and cols = t.cols and tiles = t.tiles in
   let router_counts = t.router_counts and tsv = t.tsv in
   let src = t.src and dst = t.dst and weights = t.weights in
@@ -103,86 +103,78 @@ let dynamic_energy ~tech ~crg ~cwg =
     done;
     !acc
   in
-  let fold = if Array.length tsv = 0 then planar else stacked in
+  if Array.length tsv = 0 then planar else stacked
+
+let dynamic_energy ~tech ~crg ~cwg =
+  let t = tables ~tech ~crg ~cwg in
+  let fold = fold t in
   fun placement ->
     check ~crg ~cwg placement;
     try fold placement with Unrouted -> unrouted t placement
 
-let region_energy ~tech ~crg ~cwg ~cores =
+(* The owner of a tile under a core outside the evaluator's scope. *)
+let frozen = -2
+
+(* The move-priced evaluator behind [region_energy] (a [Some] scope) and
+   [incremental_energy] (every core the placement places).
+
+   The record is the last placement it accepted, [held], and its cost,
+   [total].  Three tables derive from it: [owner] (each tile's scope
+   core, [frozen], or -1 when free), [terms] (each communication's
+   float) and [sums] (their running sums in communication order).  A
+   call compares the scope with [held]; when at most half of it moved,
+   it checks only the cores that moved, re-prices only their
+   communications (through the per-core [index], each term once per
+   call, stamped in [priced]) and adds the terms from the first
+   re-priced one on to the running sum before it: the full fold's
+   additions, so its float.  Past half the scope it checks the whole
+   placement, runs the full fold and copies the placement into [held];
+   the tables then go [stale] until a call needs them, since a stream of
+   unrelated placements never does. *)
+let tracked ~tech ~crg ~cwg scope_cores =
   let t = tables ~tech ~crg ~cwg in
+  let fold = fold t in
   let table = t.table and cols = t.cols and tiles = t.tiles in
   let router_counts = t.router_counts and tsv = t.tsv in
   let src = t.src and dst = t.dst and weights = t.weights in
   let stacked = Array.length tsv > 0 and n = Array.length weights in
-  let size = Array.fold_left max (Cwg.core_count cwg - 1) cores + 1 in
-  let moves = Array.make size false in
-  Array.iter
-    (fun c ->
-      if moves.(c) then
-        invalid_arg (Printf.sprintf "Cost_cwm.region_energy: core %d listed twice" c);
-      moves.(c) <- true)
-    cores;
-  let touches i = moves.(src.(i)) || moves.(dst.(i)) in
-  (* The communications with an end in the region, ascending. *)
-  let moving = Array.of_list (List.filter touches (List.init n Fun.id)) in
-  (* Every term in communication order: a frozen pair's is written once,
-     a moving pair's on every call. *)
-  let terms = Array.make n 0.0 in
-  (* [marks.(tile)] is -1 under a frozen core, else the stamp of the
-     last call that put a region core there, so one read per region core
-     checks both its tile's owner and the region's injectivity. *)
-  let marks = Array.make tiles 0 in
-  (* The length of the placement that primed the evaluator, -1 before. *)
-  let placed = ref (-1) and stamp = ref 0 in
-  let prime placement =
-    check ~crg ~cwg placement;
-    let length = Array.length placement in
-    Array.iter
-      (fun c ->
-        if c >= length then
-          invalid_arg
-            (Printf.sprintf "Cost_cwm.region_energy: core %d is not placed" c))
-      cores;
-    Array.fill marks 0 tiles 0;
-    for c = 0 to length - 1 do
-      if not (c < size && moves.(c)) then marks.(placement.(c)) <- -1
-    done;
-    for i = 0 to n - 1 do
-      if not (touches i) then begin
-        let pair = (placement.(src.(i)) * tiles) + placement.(dst.(i)) in
-        let routers = router_counts.(pair) in
-        if routers = 0 then unrouted t placement;
-        let row = if stacked then tsv.(pair) * cols else 0 in
-        terms.(i) <- weights.(i) *. table.(row + routers)
-      end
-    done;
-    placed := length
+  let ncores = Cwg.core_count cwg and whole = scope_cores = None in
+  (* [index.(first.(c))] to [index.(first.(c + 1) - 1)]: the
+     communications with an end at core [c], ascending. *)
+  let first = Array.make (ncores + 1) 0 in
+  let count c = first.(c + 1) <- first.(c + 1) + 1 in
+  Array.iter count src;
+  Array.iter count dst;
+  for c = 1 to ncores do
+    first.(c) <- first.(c) + first.(c - 1)
+  done;
+  let index = Array.make (2 * n) 0 and next = Array.sub first 0 ncores in
+  let add c i =
+    index.(next.(c)) <- i;
+    next.(c) <- next.(c) + 1
   in
-  (* After priming, a call reads a region core's tile unchecked only
-     after the length check; a core's tile is checked before it indexes
-     [marks], and the one checked read of [router_counts] keeps a caller
-     that moved a frozen core from reading out of bounds. *)
-  let evaluate (placement : Placement.t) =
-    if Array.length placement <> !placed then
-      invalid_arg "Cost_cwm.region_energy: the placement changed length";
-    incr stamp;
-    let stamp = !stamp in
-    let valid = ref true in
-    for k = 0 to Array.length cores - 1 do
-      let tile = Array.unsafe_get placement (Array.unsafe_get cores k) in
-      if tile < 0 || tile >= tiles then valid := false
-      else begin
-        let mark = Array.unsafe_get marks tile in
-        if mark < 0 || mark = stamp then valid := false
-        else Array.unsafe_set marks tile stamp
-      end
-    done;
-    if not !valid then begin
-      check ~crg ~cwg placement;
-      invalid_arg "Cost_cwm.region_energy: a core outside the region moved"
-    end;
-    for k = 0 to Array.length moving - 1 do
-      let i = Array.unsafe_get moving k in
+  for i = 0 to n - 1 do
+    add src.(i) i;
+    add dst.(i) i
+  done;
+  let primed = ref false and held = ref ([||] : Placement.t) in
+  let total = [| 0.0 |] in
+  let scope = ref (Option.value scope_cores ~default:[||]) in
+  let moved = ref (Array.make (Array.length !scope) 0) in
+  let stale = ref true in
+  let owner = Array.make tiles (-1) and terms = Array.make n 0.0 in
+  (* [sums.(i)]: the terms up to [i] added in order, as the fold does. *)
+  let sums = Array.make n 0.0 in
+  (* [claimed.(tile)]: the stamp of the last call that moved a core onto
+     [tile]; [priced.(i)]: of the last call that priced term [i]. *)
+  let claimed = Array.make tiles 0 and priced = Array.make n 0 in
+  let stamp = ref 0 in
+  (* Prices the terms [list.(0)] to [list.(count - 1)].  The one
+     checked read of [router_counts] keeps a caller that moved a core
+     outside the scope from reading out of bounds. *)
+  let price (placement : Placement.t) (list : int array) count =
+    for j = 0 to count - 1 do
+      let i = Array.unsafe_get list j in
       let s = Array.unsafe_get placement (Array.unsafe_get src i) in
       let d = Array.unsafe_get placement (Array.unsafe_get dst i) in
       let pair = (s * tiles) + d in
@@ -191,16 +183,158 @@ let region_energy ~tech ~crg ~cwg ~cores =
       let row = if stacked then Array.unsafe_get tsv pair * cols else 0 in
       Array.unsafe_set terms i
         (Array.unsafe_get weights i *. Array.unsafe_get table (row + routers))
+    done
+  in
+  let every = Array.init n Fun.id and todo = Array.make n 0 in
+  let refresh () =
+    let held = !held in
+    Array.fill owner 0 tiles (-1);
+    for c = 0 to Array.length held - 1 do
+      Array.unsafe_set owner (Array.unsafe_get held c) (if whole then c else frozen)
     done;
+    if not whole then Array.iter (fun c -> owner.(held.(c)) <- c) !scope;
+    price held every n;
     let acc = ref 0.0 in
     for i = 0 to n - 1 do
-      acc := !acc +. Array.unsafe_get terms i
+      acc := !acc +. Array.unsafe_get terms i;
+      Array.unsafe_set sums i !acc
     done;
-    !acc
+    stale := false
   in
-  fun placement ->
-    if !placed < 0 then prime placement;
-    try evaluate placement with Unrouted -> unrouted t placement
+  (* The whole check and the full fold, then a fresh record: the first
+     call, a change of length, the call after an unrouted pair, and a
+     call that moved more than half the scope.  A refusal raises before
+     anything is written. *)
+  let record (placement : Placement.t) =
+    check ~crg ~cwg placement;
+    let length = Array.length placement in
+    (match scope_cores with
+    | Some cores ->
+      Array.iter
+        (fun c ->
+          if c >= length then
+            invalid_arg
+              (Printf.sprintf "Cost_cwm.region_energy: core %d is not placed" c))
+        cores
+    | None -> ());
+    total.(0) <- fold placement;
+    if Array.length !held <> length then begin
+      held := Array.make length 0;
+      if whole then begin
+        scope := Array.init length Fun.id;
+        moved := Array.make length 0
+      end
+    end;
+    (* A loop of plain stores: [Array.blit] into a major-heap array
+       pays the write barrier per element. *)
+    let held = !held in
+    for c = 0 to length - 1 do
+      Array.unsafe_set held c (Array.unsafe_get placement c)
+    done;
+    stale := true;
+    primed := true
+  in
+  let refuse placement =
+    check ~crg ~cwg placement;
+    invalid_arg "Cost_cwm.region_energy: a core outside the region moved"
+  in
+  (* Reads are unchecked where the record proves them in range: the
+     placement has the record's length, so every core of the scope and
+     of the CWG indexes it, and a moved core's tile is checked before it
+     indexes [owner]. *)
+  let evaluate (placement : Placement.t) =
+    let held = !held and scope = !scope and moved = !moved in
+    let len = Array.length scope in
+    let m = ref 0 and k = ref 0 in
+    (* Written without a branch on which cores moved, which a search
+       cannot predict. *)
+    while !k < len && 2 * !m <= len do
+      let c = Array.unsafe_get scope !k in
+      Array.unsafe_set moved !m c;
+      m := !m + Bool.to_int (Array.unsafe_get placement c <> Array.unsafe_get held c);
+      incr k
+    done;
+    let m = !m in
+    if 2 * m > len then record placement
+    else if m > 0 then begin
+      if !stale then refresh ();
+      incr stamp;
+      let stamp = !stamp in
+      (* A moved core may take a free tile, or one that a moved core
+         left, once per call. *)
+      let valid = ref true in
+      for j = 0 to m - 1 do
+        let tile = Array.unsafe_get placement (Array.unsafe_get moved j) in
+        if tile < 0 || tile >= tiles then valid := false
+        else begin
+          let o = Array.unsafe_get owner tile in
+          if
+            Array.unsafe_get claimed tile = stamp
+            || o = frozen
+            || (o >= 0 && Array.unsafe_get placement o = Array.unsafe_get held o)
+          then valid := false
+          else Array.unsafe_set claimed tile stamp
+        end
+      done;
+      if not !valid then refuse placement;
+      let count = ref 0 and lo = ref n in
+      for j = 0 to m - 1 do
+        let c = Array.unsafe_get moved j in
+        if c < ncores then
+          for e = Array.unsafe_get first c to Array.unsafe_get first (c + 1) - 1 do
+            let i = Array.unsafe_get index e in
+            if Array.unsafe_get priced i <> stamp then begin
+              Array.unsafe_set priced i stamp;
+              Array.unsafe_set todo !count i;
+              incr count;
+              if i < !lo then lo := i
+            end
+          done
+      done;
+      price placement todo !count;
+      (* The terms before the first re-priced one are unchanged, and so
+         is their sum. *)
+      let lo = !lo in
+      let acc = ref (if lo = 0 then 0.0 else Array.unsafe_get sums (lo - 1)) in
+      for i = lo to n - 1 do
+        acc := !acc +. Array.unsafe_get terms i;
+        Array.unsafe_set sums i !acc
+      done;
+      total.(0) <- !acc;
+      for j = 0 to m - 1 do
+        let c = Array.unsafe_get moved j in
+        Array.unsafe_set owner (Array.unsafe_get held c) (-1)
+      done;
+      for j = 0 to m - 1 do
+        let c = Array.unsafe_get moved j in
+        let tile = Array.unsafe_get placement c in
+        Array.unsafe_set owner tile c;
+        Array.unsafe_set held c tile
+      done
+    end
+  in
+  fun (placement : Placement.t) ->
+    (try
+       if !primed && Array.length placement = Array.length !held then
+         evaluate placement
+       else record placement
+     with Unrouted ->
+       primed := false;
+       unrouted t placement);
+    total.(0)
+
+let region_energy ~tech ~crg ~cwg ~cores =
+  let size = Array.fold_left max (Cwg.core_count cwg - 1) cores + 1 in
+  let listed = Array.make size false in
+  Array.iter
+    (fun c ->
+      if listed.(c) then
+        invalid_arg (Printf.sprintf "Cost_cwm.region_energy: core %d listed twice" c);
+      listed.(c) <- true)
+    cores;
+  tracked ~tech ~crg ~cwg (Some cores)
+
+let incremental_energy ~tech ~crg ~cwg = tracked ~tech ~crg ~cwg None
 
 let cost_table ~tech ~crg ~cwg placement =
   check ~crg ~cwg placement;

@@ -290,12 +290,13 @@ let cut_bits ~cwg regions =
    communication volume take the region's tiles in center-out order. *)
 let seed_placement ~cwg regions =
   let placement = Array.make (Cwg.core_count cwg) (-1) in
+  let volume = Greedy.connectivity cwg in
   List.iter
     (fun (reg : region) ->
       let order = Array.copy reg.cores in
       Array.sort
         (fun a b ->
-          let ca = Greedy.connectivity cwg a and cb = Greedy.connectivity cwg b in
+          let ca = volume.(a) and cb = volume.(b) in
           if ca <> cb then compare cb ca else compare a b)
         order;
       Array.iteri (fun k c -> placement.(c) <- reg.tiles.(k)) order)
@@ -332,8 +333,10 @@ type report = {
    results compose into one valid global placement. *)
 let region_objective ~seed (reg : region) (objective : Objective.t) =
   let full = Array.copy seed in
-  let materialize sub =
-    Array.iteri (fun k t -> full.(reg.cores.(k)) <- reg.tiles.(t)) sub;
+  let materialize (sub : Placement.t) =
+    for k = 0 to Array.length sub - 1 do
+      full.(reg.cores.(k)) <- reg.tiles.(sub.(k))
+    done;
     full
   in
   {

@@ -30,18 +30,23 @@
 
     {b Cache sharing.}  [objective_for] is called once for the driver
     (seed scoring, composition, polish) and lazily once per region; each
-    call must return a fresh objective ({!Eval_cache} and the simulation
-    scratch are single-domain by contract).  When [region_objective_for]
-    is given, the region calls go through it instead, with the region's
-    cluster cores and tiles.  A region objective is only ever called on
-    the seed placement with that region's cores rewritten, so it may
-    rely on every other core staying put, and one domain at a time
-    calls it.  Two objectives use that contract: a CDCM cache whose keys
-    cover only the cores the region moves ({!Eval_cache.create}'s
-    [support]), a ~[cores/region] reduction of the dominant search-time
-    allocation, and {!Objective.cwm_region}, which prices only the CWM
-    terms that touch those cores.  Both return the full objective's
-    costs bit for bit, so every path gives the same report. *)
+    call must return a fresh objective ({!Eval_cache}, the simulation
+    scratch and the incremental CWM evaluator's record are single-domain
+    by contract).  When [region_objective_for] is given, the region
+    calls go through it instead, with the region's cluster cores and
+    tiles.  A region objective is only ever called on the seed placement
+    with that region's cores rewritten (in one array the driver mutates
+    in place), so it may rely on every other core staying put, and one
+    domain at a time calls it.  Two objectives use that contract: a CDCM
+    cache whose keys cover only the cores the region moves
+    ({!Eval_cache.create}'s [support]), a ~[cores/region] reduction of
+    the dominant search-time allocation, and {!Objective.cwm_region},
+    which compares only those cores with its record and re-prices the
+    CWM terms of the ones a call moved.  The driver's {!Objective.cwm}
+    prices the polish the same way over every core.  All return the
+    full objective's costs bit for bit, so every path gives the same
+    report, and a resumed run rebuilds each record from the first
+    placement it evaluates: nothing of it is journaled. *)
 
 type refiner =
   | Sa     (** {!Annealing.search} inside each region (the default). *)

@@ -3,15 +3,18 @@ module Mesh = Nocmap_noc.Mesh
 module Cwg = Nocmap_model.Cwg
 module Equations = Nocmap_energy.Equations
 
-(* Volume exchanged with all partners, the placement priority. *)
-let connectivity cwg core =
+(* Volume each core exchanges with all partners, the placement
+   priority. *)
+let connectivity cwg =
   let n = Cwg.core_count cwg in
-  let acc = ref 0 in
-  for other = 0 to n - 1 do
-    if other <> core then
-      acc := !acc + Cwg.weight cwg ~src:core ~dst:other + Cwg.weight cwg ~src:other ~dst:core
-  done;
-  !acc
+  Array.init n (fun core ->
+      let acc = ref 0 in
+      for other = 0 to n - 1 do
+        if other <> core then
+          acc :=
+            !acc + Cwg.weight cwg ~src:core ~dst:other + Cwg.weight cwg ~src:other ~dst:core
+      done;
+      !acc)
 
 let central_tile mesh =
   Mesh.tile_of_coord3 mesh
@@ -25,9 +28,8 @@ let search ~tech ~crg ~cwg () =
   if cores > tiles then invalid_arg "Greedy.search: more cores than tiles";
   let mesh = Crg.mesh crg in
   let order =
-    List.sort
-      (fun a b -> Int.compare (connectivity cwg b) (connectivity cwg a))
-      (List.init cores Fun.id)
+    let volume = connectivity cwg in
+    List.sort (fun a b -> Int.compare volume.(b) volume.(a)) (List.init cores Fun.id)
   in
   let placement = Array.make cores (-1) in
   let free = Array.make tiles true in

@@ -7,10 +7,10 @@
     takes the free tile that minimizes the partial CWM dynamic energy
     toward the cores already placed. *)
 
-val connectivity : Nocmap_model.Cwg.t -> int -> int
-(** Total communication volume (bits, both directions) a core exchanges
-    with all partners — the placement priority used here and by the
-    {!Spiral} seed. *)
+val connectivity : Nocmap_model.Cwg.t -> int array
+(** Each core's total communication volume (bits, both directions) with
+    all partners, indexed by core — the placement priority used here, by
+    the {!Spiral} seed and by {!Decompose}'s seed assignment. *)
 
 val search :
   tech:Nocmap_energy.Technology.t ->

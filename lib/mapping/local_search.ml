@@ -83,13 +83,24 @@ let search ~objective ~tiles ~initial ?(max_evaluations = 100_000) ?convergence
     | Some _ | None -> ()
   in
   (* One pass: the best strictly-improving move among all core->tile
-     relocations (swapping with the occupant when taken). *)
+     relocations (swapping with the occupant when taken).  [occupant]
+     holds the first core on each tile of the pass's placement, or -1,
+     as {!Placement.move_to_tile} would find it. *)
+  let occupant = Array.make (max 0 tiles) (-1) in
   let best_move () =
+    let base = !current in
+    Array.fill occupant 0 (Array.length occupant) (-1);
+    for core = Array.length base - 1 downto 0 do
+      let tile = base.(core) in
+      if tile >= 0 && tile < tiles then occupant.(tile) <- core
+    done;
     let best = ref None in
     for core = 0 to cores - 1 do
       for tile = 0 to tiles - 1 do
-        if tile <> !current.(core) && !evals < max_evaluations then begin
-          let candidate = Placement.move_to_tile !current ~core ~tile in
+        if tile <> base.(core) && !evals < max_evaluations then begin
+          let candidate =
+            Placement.relocate base ~core ~tile ~other:occupant.(tile)
+          in
           let threshold =
             match !best with
             | Some (_, best_cost) -> Float.min !current_cost best_cost

@@ -23,10 +23,21 @@ let m_evaluations =
 
 let count_evaluations n = Metrics.add m_evaluations n
 
+(* Below this many cores a move re-prices a large share of the terms,
+   and the incremental evaluator's bookkeeping costs more than the fold
+   it saves: on annealing streams over the catalog apps and the small
+   Table 2 instances (5-12 cores) a call cost 1.2-2.4x the full fold's,
+   on generated 32-96-core apps and the 62-99-core Table 2 ones
+   0.6-0.9x (EXPERIMENTS.md). *)
+let incremental_cores = 32
+
 let cwm ~tech ~crg ~cwg =
   {
     name = "cwm";
-    cost_fn = Cost_cwm.dynamic_energy ~tech ~crg ~cwg;
+    cost_fn =
+      (if Nocmap_model.Cwg.core_count cwg < incremental_cores then
+         Cost_cwm.dynamic_energy ~tech ~crg ~cwg
+       else Cost_cwm.incremental_energy ~tech ~crg ~cwg);
     bound_fn = None;
   }
 

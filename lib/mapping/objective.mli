@@ -7,8 +7,8 @@
 
     Simulation-backed objectives ({!cdcm}, {!texec}) embed a private
     {!Nocmap_sim.Wormhole.Scratch.t} so that every cost call reuses one
-    arena — an [Objective.t] is therefore NOT thread-safe; build one per
-    domain. *)
+    arena, and {!cwm} keeps the record of an incremental evaluator — an
+    [Objective.t] is therefore NOT thread-safe; build one per domain. *)
 
 type bound =
   | Exact of float     (** The candidate's true cost. *)
@@ -45,7 +45,12 @@ val cwm :
   crg:Nocmap_noc.Crg.t ->
   cwg:Nocmap_model.Cwg.t ->
   t
-(** Equation (3): dynamic energy only.  No [bound_fn]. *)
+(** Equation (3): dynamic energy only.  No [bound_fn].  On a CWG of 32
+    cores or more the cost is {!Cost_cwm.incremental_energy}, which
+    holds the last placement it accepted and prices each call by the
+    cores that moved; below that a move re-prices a large share of the
+    terms and the cost is the stateless {!Cost_cwm.dynamic_energy}.
+    Either way every cost is the same float. *)
 
 val cwm_region :
   tech:Nocmap_energy.Technology.t ->
@@ -55,7 +60,7 @@ val cwm_region :
   t
 (** {!cwm} for placements that move only [cores] away from the first
     placement evaluated ({!Cost_cwm.region_energy}): the same name and
-    bit-identical costs, at the price of the terms that touch [cores].
+    bit-identical costs, priced by the cores of [cores] each call moved.
     Single-domain. *)
 
 val cdcm :

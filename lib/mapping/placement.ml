@@ -65,22 +65,25 @@ let rec core_on (placement : t) (tile : int) core =
   else if placement.(core) = tile then core
   else core_on placement tile (core + 1)
 
-let move_to_tile (placement : t) ~core ~tile =
+let relocate (placement : t) ~core ~tile ~other =
   let p = Array.copy placement in
-  let other = core_on placement tile 0 in
   if other >= 0 then p.(other) <- placement.(core);
   p.(core) <- tile;
   p
+
+let move_to_tile placement ~core ~tile =
+  relocate placement ~core ~tile ~other:(core_on placement tile 0)
+
+(* A uniform tile other than [current]. *)
+let rec fresh_tile rng ~tiles current =
+  let tile = Rng.int rng tiles in
+  if tile = current then fresh_tile rng ~tiles current else tile
 
 let random_neighbor rng ~tiles placement =
   if tiles < 2 then invalid_arg "Placement.random_neighbor: need at least two tiles";
   let cores = Array.length placement in
   let core = Rng.int rng cores in
-  let rec fresh_tile () =
-    let tile = Rng.int rng tiles in
-    if tile = placement.(core) then fresh_tile () else tile
-  in
-  move_to_tile placement ~core ~tile:(fresh_tile ())
+  move_to_tile placement ~core ~tile:(fresh_tile rng ~tiles placement.(core))
 
 let to_string ~core_names placement =
   String.concat " "

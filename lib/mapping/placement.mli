@@ -26,6 +26,10 @@ val move_to_tile : t -> core:int -> tile:int -> t
     [tile], that core takes the vacated tile (so injectivity is
     preserved whether or not [tile] was free). *)
 
+val relocate : t -> core:int -> tile:int -> other:int -> t
+(** {!move_to_tile} for a caller that knows [other], the core on [tile]
+    or [-1] when [tile] is free, so no scan looks for it. *)
+
 val random_neighbor : Nocmap_util.Rng.t -> tiles:int -> t -> t
 (** One annealing move: a random core hops to a random different tile
     (swapping with its occupant when the tile is taken).

@@ -62,9 +62,8 @@ let search ~tech ~crg ~cwg () =
      pairs that exchange the most traffic stay within a few hops of the
      center — the placement heuristic of Benhaoua et al. *)
   let ranked =
-    List.sort
-      (fun a b -> Int.compare (Greedy.connectivity cwg b) (Greedy.connectivity cwg a))
-      (List.init cores Fun.id)
+    let volume = Greedy.connectivity cwg in
+    List.sort (fun a b -> Int.compare volume.(b) volume.(a)) (List.init cores Fun.id)
   in
   let placement = Array.make cores (-1) in
   List.iteri (fun rank core -> placement.(core) <- order.(rank)) ranked;

@@ -4,14 +4,27 @@ module Topo = Nocmap_graph.Topo
 module Apps = Nocmap_apps
 
 let test_catalog_well_formed () =
-  Alcotest.(check int) "eight embedded applications" 8 (List.length Apps.Catalog.all);
+  Alcotest.(check int) "eight embedded applications" 8 (List.length (Apps.Catalog.all ()));
   List.iter
     (fun (name, cdcg) ->
       Alcotest.(check bool) (name ^ " acyclic") true
         (Topo.is_dag (Cdcg.to_digraph cdcg));
       Alcotest.(check bool) (name ^ " has packets") true (Cdcg.packet_count cdcg > 0);
       Alcotest.(check bool) (name ^ " has deps") true (Cdcg.dependence_count cdcg > 0))
-    Apps.Catalog.all
+    (Apps.Catalog.all ())
+
+(* Each built-in app is built once, on first use, and then shared:
+   domains racing on their first lookups neither raise (two domains
+   forcing one lazy value would) nor build an app twice. *)
+let test_catalog_domains () =
+  let lookup () =
+    List.init 20 (fun _ -> List.map snd (Apps.Catalog.all ())) |> List.concat
+  in
+  let racers = List.init 4 (fun _ -> Domain.spawn lookup) in
+  let seen = List.concat_map Domain.join racers in
+  let built = List.map snd (Apps.Catalog.all ()) in
+  Alcotest.(check bool) "one shared build per app" true
+    (List.for_all (fun cdcg -> List.exists (( == ) cdcg) built) seen)
 
 let test_catalog_find () =
   Alcotest.(check bool) "find hit" true (Apps.Catalog.find "fft8" <> None);
@@ -122,6 +135,7 @@ let test_fig1_matches_paper () =
 let suite =
   ( "apps",
     [
+      Alcotest.test_case "catalog across domains" `Quick test_catalog_domains;
       Alcotest.test_case "catalog well-formed" `Quick test_catalog_well_formed;
       Alcotest.test_case "catalog find" `Quick test_catalog_find;
       Alcotest.test_case "romberg shape" `Quick test_romberg_shape;

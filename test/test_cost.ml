@@ -154,8 +154,8 @@ let tsv_tech =
 (* One instance per (shape, seed): a 2-D mesh under XY or YX routing, a
    torus, a 3-D mesh, or a 3-D mesh with random link and router faults
    (whose detours may climb and descend, and whose dead routers leave
-   pairs unreachable). *)
-let fold_instance (shape, seed) =
+   pairs unreachable), with 2 to [max_cores] cores. *)
+let fold_instance ?(max_cores = 8) (shape, seed) =
   let rng = Rng.create ~seed in
   let between lo hi = lo + Rng.int rng (hi - lo + 1) in
   let mesh3 () =
@@ -190,7 +190,7 @@ let fold_instance (shape, seed) =
       (Crg.create ~faults mesh, tsv_tech)
   in
   let tiles = Crg.tile_count crg in
-  let cores = between 2 (min tiles 8) in
+  let cores = between 2 (min tiles max_cores) in
   let spec =
     Nocmap_tgff.Generator.default_spec ~name:"fold" ~cores
       ~packets:(3 * cores) ~total_bits:(997 * cores)
@@ -274,6 +274,125 @@ let prop_cwm_region_bit_identical =
         (fun p -> outcome (fun () -> region p) = outcome (fun () -> full p))
         (List.init 12 (fun _ -> region_draw rng ~tiles ~first cores)))
 
+(* One step of a search walk over the caller's array [p], mutated in
+   place: [scope] lists the cores the walk may move, and the other
+   cores keep their tiles.  Most steps move one to four scope cores
+   (each onto a random tile outside the other cores', swapping with a
+   scope core that holds it), some move none, and some re-draw the whole
+   scope (a jump past half the scope).  Up to three steps in eight
+   break the placement the way the full check refuses (two scope cores
+   on one tile, a scope core on another core's tile, a tile out of
+   range).
+   Returns whether the step broke [p], and the undo that puts [p]
+   back. *)
+let walk_step rng ~tiles ~scope p =
+  let n = Array.length p and k = Array.length scope in
+  let in_scope = Array.make n false in
+  Array.iter (fun c -> in_scope.(c) <- true) scope;
+  let open_tiles =
+    let taken = Array.make tiles false in
+    Array.iteri (fun c t -> if not in_scope.(c) then taken.(t) <- true) p;
+    Array.of_list (List.filter (fun t -> not taken.(t)) (List.init tiles Fun.id))
+  in
+  let move c =
+    let tile = open_tiles.(Rng.int rng (Array.length open_tiles)) in
+    Array.iteri (fun o t -> if t = tile && o <> c then p.(o) <- p.(c)) p;
+    p.(c) <- tile
+  in
+  let undo = Array.copy p in
+  let restore () = Array.blit undo 0 p 0 n in
+  let broken =
+    if k = 0 then false
+    else
+      match Rng.int rng 8 with
+      | 0 ->
+        let fresh = Rng.sample_without_replacement rng k open_tiles in
+        Array.iteri (fun j c -> p.(c) <- fresh.(j)) scope;
+        false
+      | 1 -> false
+      | 2 when k >= 2 ->
+        p.(scope.(0)) <- p.(scope.(1 + Rng.int rng (k - 1)));
+        true
+      | 3 when k < n ->
+        let outside = List.filter (fun c -> not in_scope.(c)) (List.init n Fun.id) in
+        p.(scope.(Rng.int rng k)) <- p.(List.nth outside (Rng.int rng (n - k)));
+        true
+      | 4 ->
+        p.(scope.(Rng.int rng k)) <- (if Rng.bool rng then -1 else tiles);
+        true
+      | _ ->
+        for _ = 1 to 1 + Rng.int rng 4 do
+          move scope.(Rng.int rng k)
+        done;
+        false
+  in
+  (broken, restore)
+
+(* The incremental evaluator at region scope and at full scope walks
+   through one caller array on [fold_instance]'s meshes (2-D XY and YX,
+   a torus, stacked and faulted stacked 3-D, where dead routers leave
+   pairs unrouted mid-walk), with up to 24 cores so that most moves stay
+   under half the scope: every call, moved, unmoved, jumped, refused
+   or unrouted, returns the full fold's cost bit for bit or raises its
+   [Invalid_argument] with the same message.  A refused placement is
+   always undone, an unrouted one three times in four, so the walk goes
+   on both from the placement the evaluator last accepted and from one
+   it could not price. *)
+let prop_cwm_evaluator_walk =
+  QCheck2.Test.make ~name:"CWM evaluator walk is bit-identical to the full fold"
+    ~count:(Test_util.prop_count 300)
+    ~print:(fun (shape, seed) -> Printf.sprintf "shape %d seed %d" shape seed)
+    QCheck2.Gen.(pair (0 -- 4) (0 -- 1_000_000))
+    (fun instance ->
+      let crg, tech, cwg, first = fold_instance ~max_cores:24 instance in
+      let rng = Rng.create ~seed:(snd instance + 2) in
+      let tiles = Crg.tile_count crg and n = Array.length first in
+      let region =
+        Array.of_list (List.filter (fun _ -> Rng.bool rng) (List.init n Fun.id))
+      in
+      let full = Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg in
+      List.for_all
+        (fun (scope, evaluate) ->
+          let p = Array.copy first in
+          List.for_all
+            (fun _ ->
+              let broken, restore = walk_step rng ~tiles ~scope p in
+              let got = outcome (fun () -> evaluate p) in
+              let same = got = outcome (fun () -> full p) in
+              if broken || (Result.is_error got && Rng.int rng 4 > 0) then restore ();
+              same)
+            (List.init 60 Fun.id))
+        [
+          (region, Mapping.Cost_cwm.region_energy ~tech ~crg ~cwg ~cores:region);
+          (Array.init n Fun.id, Mapping.Cost_cwm.incremental_energy ~tech ~crg ~cwg);
+        ])
+
+(* [Objective.cwm] on the decompose workload's first application (96
+   cores, past the size where it switches to the incremental
+   evaluator), along a walk of one- to four-core moves, jumps and
+   refused placements: every cost is the full fold's, bit for bit. *)
+let test_cwm_objective_walk () =
+  let mesh = Mesh.create ~cols:12 ~rows:12 in
+  let crg = Crg.create mesh in
+  let cwg =
+    Cwg.of_cdcg
+      (Nocmap_tgff.Generator.generate (Rng.create ~seed:1)
+         (Nocmap_tgff.Generator.default_spec ~name:"random-1" ~cores:96
+            ~packets:192 ~total_bits:50_000))
+  in
+  let tech = Technology.t007 in
+  let objective = (Mapping.Objective.cwm ~tech ~crg ~cwg).Mapping.Objective.cost_fn in
+  let full = Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg in
+  let rng = Rng.create ~seed:3 in
+  let scope = Array.init 96 Fun.id in
+  let p = Mapping.Placement.random rng ~cores:96 ~tiles:144 in
+  for step = 1 to 600 do
+    let broken, restore = walk_step rng ~tiles:144 ~scope p in
+    if outcome (fun () -> objective p) <> outcome (fun () -> full p) then
+      Alcotest.failf "step %d: the objective's cost is not the full fold's" step;
+    if broken then restore ()
+  done
+
 (* A repeated core would make every call see two region cores on one
    tile, so the evaluator refuses it up front. *)
 let test_cwm_region_repeated_core () =
@@ -285,10 +404,13 @@ let test_cwm_region_repeated_core () =
       in
       ())
 
-(* Words a warm region-evaluator call allocates on the decompose
-   workload's first 96-core application on 12x12, net of the boxed
-   float that every [Placement.t -> float] call returns: none.  A call
-   that copied or materialized the placement would add about 100. *)
+(* Words a warm evaluator call allocates on the decompose workload's
+   first 96-core application on 12x12, net of the boxed float that every
+   [Placement.t -> float] call returns: none, at region scope and at
+   full scope ([Objective.cwm], which is the incremental evaluator at
+   this size).  Each measured call swaps two cores of the caller's array
+   in place, so it re-prices their terms; a call that copied or
+   materialized the placement would add about 100 words. *)
 let test_cwm_region_allocation () =
   let mesh = Mesh.create ~cols:12 ~rows:12 in
   let crg = Crg.create mesh in
@@ -308,22 +430,34 @@ let test_cwm_region_allocation () =
   in
   let cores = region.Mapping.Decompose.cores in
   let placement = Mapping.Placement.random (Rng.create ~seed:2) ~cores:96 ~tiles:144 in
-  let evaluate = Mapping.Cost_cwm.region_energy ~tech ~crg ~cwg ~cores in
-  ignore (evaluate placement);
   let a = cores.(0) and b = cores.(1) in
-  let ta = placement.(a) in
-  placement.(a) <- placement.(b);
-  placement.(b) <- ta;
-  Alcotest.(check int64) "warm cost is the full fold's"
-    (Int64.bits_of_float (Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg placement))
-    (Int64.bits_of_float (evaluate placement));
-  let call () = ignore (Sys.opaque_identity (evaluate placement)) in
+  let swap () =
+    let ta = placement.(a) in
+    placement.(a) <- placement.(b);
+    placement.(b) <- ta
+  in
   let boxed = Sys.opaque_identity (fun x -> x +. 1.0) in
   let box () = ignore (Sys.opaque_identity (boxed 0.5)) in
-  let words = Test_util.words_allocated call -. Test_util.words_allocated box in
-  Alcotest.(check bool)
-    (Printf.sprintf "warm call allocates %.0f words besides its result" words)
-    true (words <= 0.0)
+  List.iter
+    (fun (scope, evaluate) ->
+      ignore (evaluate placement);
+      swap ();
+      Alcotest.(check int64)
+        (scope ^ ": warm cost is the full fold's")
+        (Int64.bits_of_float (Mapping.Cost_cwm.dynamic_energy ~tech ~crg ~cwg placement))
+        (Int64.bits_of_float (evaluate placement));
+      let call () =
+        swap ();
+        ignore (Sys.opaque_identity (evaluate placement))
+      in
+      let words = Test_util.words_allocated call -. Test_util.words_allocated box in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: warm call allocates %.0f words besides its result" scope words)
+        true (words <= 0.0))
+    [
+      ("region", Mapping.Cost_cwm.region_energy ~tech ~crg ~cwg ~cores);
+      ("full", (Mapping.Objective.cwm ~tech ~crg ~cwg).Mapping.Objective.cost_fn);
+    ]
 
 (* [communications] and its flat arrays list the positive entries of
    [volume], row by row. *)
@@ -417,6 +551,8 @@ let suite =
         test_cwm_unreachable_pair_rejected;
       QCheck_alcotest.to_alcotest prop_cwm_fold_bit_identical;
       QCheck_alcotest.to_alcotest prop_cwm_region_bit_identical;
+      QCheck_alcotest.to_alcotest prop_cwm_evaluator_walk;
+      Alcotest.test_case "cwm objective walk" `Quick test_cwm_objective_walk;
       Alcotest.test_case "cwm region repeated core" `Quick test_cwm_region_repeated_core;
       Alcotest.test_case "cwm region allocation" `Quick test_cwm_region_allocation;
       QCheck_alcotest.to_alcotest prop_communications_scan_volume;
